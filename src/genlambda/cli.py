@@ -2,7 +2,8 @@
 
 Subcommands: qexp, cusps, minpoly, counts, sums, cm, verify. Output is JSON
 by default (format "text" gives aligned listings). Exit codes: 0 success,
-1 verification failure, 2 usage error. The disk cache directory for built
+1 verification failure, 2 usage or environment error (such as an --out
+file that cannot be written). The disk cache directory for built
 minimal polynomials comes from GENLAMBDA_CACHE_DIR.
 """
 
@@ -382,7 +383,7 @@ def run(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg, args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,6 +80,21 @@ class CycContext:
             rows.append(tuple(cur))
         self.power_rows = tuple(rows)
 
+    def reduce(self, digits) -> list:
+        """Power-basis coordinates of sum_k digits[k] z^k, for 2 phi - 1
+        digits: the terms of degree >= phi are reduced mod Phi_N."""
+        phi = self.phi
+        vec = list(digits[:phi])
+        rows = self.power_rows
+        for k in range(phi, len(digits)):
+            ck = digits[k]
+            if ck:
+                row = rows[k]
+                for j in range(phi):
+                    if row[j]:
+                        vec[j] += ck * row[j]
+        return vec
+
     def __repr__(self):
         return f"CycContext(N={self.level}, phi={self.phi})"
 

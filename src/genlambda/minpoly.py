@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, get_context
 from .forms import j_series
 from .lam import lambda_leading, lambda_series
 from .modgroup import cusp_reps, degree_dn, nu_pair, nu_statistics
@@ -30,7 +30,16 @@ from .polyk import (
     squarefree_certificate,
     trim,
 )
-from .qseries import QSeries, _mul_windows, xpoly_mul_windows
+from .qseries import (
+    QSeries,
+    _digit_width,
+    _int_rows,
+    _mac_rows,
+    _mul_windows,
+    _pack_rows,
+    _unpack_digits,
+    xpoly_mul_windows,
+)
 
 FORMAT_VERSION = 1
 
@@ -209,8 +218,15 @@ def _product_poly_compact(
 
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 orbit_polys = list(pool.map(_orbit_worker, tasks))
-        except Exception:
-            orbit_polys = None  # pool unavailable; fall back to serial
+        except Exception as exc:
+            import warnings
+
+            warnings.warn(
+                f"process pool failed ({exc!r}); building the orbit leaves serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            orbit_polys = None
     if orbit_polys is None:
         orbit_polys = [_orbit_poly(*task) for task in tasks]
     coeffs = _tree_mul_compact(n, orbit_polys)
@@ -382,11 +398,46 @@ class BivarPoly:
         )
 
 
-def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) -> bool:
-    """Verify F(lambda∘A-series, j-series) = 0 on a meaningful window.
+def _rows_norm(og, pg, rows):
+    """Strip leading zero rows from an integer window (ord, prec, rows)."""
+    k = 0
+    while k < len(rows) and not any(rows[k]):
+        k += 1
+    if k == len(rows):
+        return (pg, pg, [])
+    return (og + k, pg, rows[k:])
 
-    Defaults to the identity matrix; raises PrecisionError if the residual
-    window cannot cover [-N*ell, window).
+
+def _rows_add(a, b, phi: int):
+    """Sum of two integer windows under QSeries.__add__'s window rule."""
+    pg = min(a[1], b[1])
+    og = min(a[0], b[0], pg)
+    out = [[0] * phi for _ in range(pg - og)]
+    for (o, _, rows) in (a, b):
+        for idx, row in enumerate(rows, start=o):
+            if idx >= pg:
+                break
+            acc = out[idx - og]
+            for z, x in enumerate(row):
+                acc[z] += x
+    return _rows_norm(og, pg, out)
+
+
+def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) -> bool:
+    """Check F(lambda∘A-series, j-series) = 0 on the q-window [-N*ell, window).
+
+    Defaults to the identity matrix and window = 3N; raises PrecisionError
+    if the residual window cannot cover it. Vanishing on this window is not
+    a proof that F(lambda, j) = 0: a term c j^m lambda^(d-i) first shows at
+    q^(d-i-N m), so a change to a P_i of small i can lie beyond the window
+    and pass (for F(4), +1 on the constant term of P_1 passes).
+
+    The arithmetic runs on integers. With D the common denominator of F's
+    coordinates and L that of the lambda-series, the Horner steps
+    W <- W * (L lambda) + L^i D P_i(j) give L^i D times the partial sums,
+    since j has rational-integer q-coefficients. Each coefficient is a row
+    of phi ints, packed per step for the shared pair loop and reduced mod
+    Phi_N after it.
     """
     from .modgroup import SL2Mat
 
@@ -397,27 +448,65 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     prec = w + margin
     if matrices is None:
         matrices = [SL2Mat.identity(n)]
-    jp = _j_powers_compact(n, prec, ell)
+    ctx = get_context(n)
+    phi = ctx.phi
+    zero = [0] * phi
+    jp = [
+        (o, p, [c.coords[0].numerator for c in cs])
+        for (o, p, cs) in _j_powers_compact(n, prec, ell)
+    ]
+    _, p_rows, _, _ = _int_rows(F.P)
     p_series = []
-    for i in range(F.d + 1):
-        poly = F.P[i]
+    for poly in p_rows:
         acc = None
         for m, c in enumerate(poly):
-            if c.is_zero():
+            if not any(c):
                 continue
-            term = _c_scale(n, jp[m], c)
-            acc = term if acc is None else _c_add(n, acc, term)
-        p_series.append(None if acc is None else _decompress(n, acc))
+            o, p, js = jp[m]
+            term = (o, p, [[x * cz for cz in c] for x in js])
+            acc = term if acc is None else _rows_add(acc, term, phi)
+        if acc is not None:  # spread the q^N grid out to dense exponents
+            og, pg, rows = acc
+            dense = []
+            for row in rows:
+                dense += [zero] * (n - 1) if dense else []
+                dense.append(row)
+            prec_d = (pg - 1) * n + 1
+            acc = (og * n, prec_d, dense) if rows else (prec_d, prec_d, [])
+        p_series.append(acc)
     for mat in matrices:
         lam = lambda_series(mat, prec)
+        ol, pl = lam.ord, lam.prec
+        den_l, (lam_rows,), max_l, _ = _int_rows([lam.coeffs])
         v = None
+        lift = 1  # den_l ** i
         for i in range(F.d + 1):
-            v = v * lam if v is not None else None
-            if p_series[i] is not None:
-                v = p_series[i] if v is None else v + p_series[i]
-        if v is None or not v.is_zero():
+            if v is not None:
+                ov, pv, rows = v
+                o, pr = ov + ol, min(pv + ol, pl + ov)
+                acc = [0] * max(pr - o, 0)
+                if rows and lam_rows:
+                    max_v = max(abs(x) for row in rows for x in row)
+                    width = _digit_width(max_v, max_l, min(len(rows), len(lam_rows)) * phi)
+                    _mac_rows(
+                        acc, _pack_rows(rows, width), _pack_rows(lam_rows, width), 0, pr - o
+                    )
+                    acc = [
+                        ctx.reduce(_unpack_digits(x, width, 2 * phi - 1)) if x else zero
+                        for x in acc
+                    ]
+                else:
+                    acc = [zero] * len(acc)
+                v = _rows_norm(o, pr, acc)
+            ps = p_series[i]
+            if ps is not None:
+                if lift != 1:
+                    ps = (ps[0], ps[1], [[x * lift for x in row] for row in ps[2]])
+                v = ps if v is None else _rows_add(v, ps, phi)
+            lift *= den_l
+        if v is None or v[2]:
             return False
-        if v.prec < w:
+        if v[1] < w:
             raise PrecisionError("residual window too small to be conclusive")
     return True
 
@@ -436,6 +525,8 @@ def build_F(
 ) -> BivarPoly:
     """Build F(X, Y) for level N, verify F(lambda, j) = 0, and cache it.
 
+    Only a checked F enters the in-process memo, so a build with
+    self_check=False never answers a later call that asks for the check.
     For N = 6 the construction still runs but none of the structure theorems
     are claimed (see verify_theorem1).
     """
@@ -469,7 +560,8 @@ def build_F(
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(F.to_json())
         os.replace(tmp, cache_path)
-    _MEMO[key] = F
+    if self_check:
+        _MEMO[key] = F
     return F
 
 

@@ -1,10 +1,18 @@
 """Univariate polynomial utilities over K_N.
 
 Polynomials are tuples of CycNum, constant term first, trailing zeros
-stripped. Degrees here stay in the hundreds, so the arithmetic is plain
-schoolbook; the one place naive methods would blow up (gcd chains over a
-number field) is replaced by reduction modulo a split prime, which gives a
-sound positive certificate of squarefreeness.
+stripped. CycNum appears only at the entry and exit of the two hot
+kernels, which run on Python ints over one common denominator:
+
+- `pmul` (and with it `ppow` and `monic_from_roots`) is one Kronecker
+  substitution: X and zeta are packed into a single integer, multiplied
+  once, unpacked and reduced mod Phi_N;
+- `nth_root_monic` takes the root by J. C. P. Miller's one-pass power
+  recurrence and verifies it by exact multiplication.
+
+Gcd chains over a number field would blow up, so squarefreeness is
+certified by reduction modulo a split prime, which gives a sound positive
+certificate.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, get_context
 from .ntheory import prime_divisors, _is_prime
 
 
@@ -50,10 +58,6 @@ def pneg(p) -> tuple:
     return tuple(-c for c in p)
 
 
-def psub(p, q) -> tuple:
-    return padd(p, pneg(q))
-
-
 def pscale(p, c) -> tuple:
     if not isinstance(c, CycNum) and p:
         c = CycNum.from_rational(p[0].level, c)
@@ -61,15 +65,42 @@ def pscale(p, c) -> tuple:
 
 
 def pmul(p, q) -> tuple:
+    """p*q by Kronecker substitution.
+
+    Each polynomial is put over its own common denominator and packed into
+    one int: X-power i and zeta-power z go to digit i*(2 phi - 1) + z, so
+    the zeta-products of one X-power never reach the next. One integer
+    multiplication forms every product; the balanced digits are unpacked and
+    reduced mod Phi_N.
+    """
     if not p or not q:
         return ()
-    out = [CycNum.zero(p[0].level)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a.is_zero():
-            for j, b in enumerate(q):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-    return trim(out)
+    from .qseries import _digit_width, _int_rows, _pack_rows, _unpack_digits
+
+    level = p[0].level
+    ctx = get_context(level)
+    phi = ctx.phi
+    slots = 2 * phi - 1
+    pad = [0] * (phi - 1)
+    dp, (rp,), mp, _ = _int_rows([p])
+    dq, (rq,), mq, _ = _int_rows([q])
+    width = _digit_width(mp, mq, min(len(p), len(q)) * phi)
+    xp, xq = _pack_rows(
+        [[v for row in rp for v in row + pad], [v for row in rq for v in row + pad]],
+        width,
+    )
+    out_len = len(p) + len(q) - 1
+    digits = _unpack_digits(xp * xq, width, out_len * slots)
+    den = dp * dq
+    return trim(
+        tuple(
+            CycNum._make(
+                level,
+                tuple(Fraction(v, den) for v in ctx.reduce(digits[k * slots : (k + 1) * slots])),
+            )
+            for k in range(out_len)
+        )
+    )
 
 
 def ppow(p, e: int) -> tuple:
@@ -91,12 +122,28 @@ def pderiv(p) -> tuple:
 
 
 def peval(p, x: CycNum) -> CycNum:
+    """p(x) by Horner's rule on integer coordinates.
+
+    With p = A/D and x = X/D over one common denominator D, the steps
+    T <- T*X + D^j A_(deg-j), T = A_deg, end at T = D^(deg+1) p(x).
+    """
+    level = x.level
     if not p:
-        return CycNum.zero(x.level)
-    acc = CycNum.zero(x.level)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        return CycNum.zero(level)
+    from .qseries import _int_rows, _mac_rows
+
+    ctx = get_context(level)
+    slots = 2 * ctx.phi - 1
+    den, (rows, (xr,)), _, _ = _int_rows([p, (x,)])
+    acc = rows[-1]
+    lift = 1
+    for row in reversed(rows[:-1]):
+        prod = [0] * slots
+        _mac_rows(prod, acc, xr, 0, slots)
+        lift *= den
+        acc = [v + lift * c for v, c in zip(ctx.reduce(prod), row)]
+    lift *= den
+    return CycNum._make(level, tuple(Fraction(v, lift) for v in acc))
 
 
 def peval_complex(p, z: complex) -> complex:
@@ -123,67 +170,52 @@ def monic_from_roots(level: int, roots, multiplicity: int = 1) -> tuple:
 # -- exact n-th roots of monic polynomials -----------------------------------
 
 
-def _ser_mul(level, a, b, width):
-    out = [CycNum.zero(level)] * width
-    for i, x in enumerate(a):
-        if i >= width or x.is_zero():
-            continue
-        for j in range(min(len(b), width - i)):
-            y = b[j]
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ser_inv(level, a, width):
-    if a[0].is_zero():
-        raise ZeroDivisionError("series inverse needs a unit constant term")
-    inv0 = a[0].inv()
-    out = [CycNum.zero(level)] * width
-    out[0] = inv0
-    for k in range(1, width):
-        s = CycNum.zero(level)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if not a[j].is_zero():
-                s = s + a[j] * out[k - j]
-        out[k] = -inv0 * s
-    return out
-
-
 def nth_root_monic(f, n_root: int, level: int):
     """Exact H with H^n = f, for monic f with deg divisible by n_root.
 
-    Returns the monic H, or None if f is not a perfect n-th power. The root
-    is found as a power series in 1/X on the reversed coefficients and then
-    verified by exact multiplication.
+    Returns the monic H, or None if f is not a perfect n-th power. In
+    t = 1/X the reversed coefficients f_j (f_0 = 1) give h = f^(1/n) by
+    J. C. P. Miller's one-pass recurrence (Knuth, TAOCP vol. 2, 4.7):
+    k h_k = sum_{j=1..k} ((1/n + 1) j - k) f_j h_{k-j}, h_0 = 1. The h_k
+    are integer rows over one common denominator, raised only when a new
+    h_k needs it. The candidate is verified by exact multiplication.
     """
     d = deg(f)
     if d < 0 or d % n_root != 0:
         return None
     if not f[-1] == CycNum.one(level):
         return None
+    from .qseries import _int_rows, _mac_rows
+
+    ctx = get_context(level)
+    phi = ctx.phi
+    slots = 2 * phi - 1
     m = d // n_root
-    width = m + 1
-    rev = [f[d - k] for k in range(min(width, d + 1))]
-    rev += [CycNum.zero(level)] * (width - len(rev))
-    # Newton iteration for h with h^n = rev (mod t^width), h(0) = 1
-    h = [CycNum.one(level)]
-    known = 1
-    inv_n = CycNum.from_rational(level, Fraction(1, n_root))
-    while known < width:
-        target = min(2 * known, width)
-        hp = list(h) + [CycNum.zero(level)] * (target - len(h))
-        hn = [CycNum.one(level)]
-        for _ in range(n_root - 1):
-            hn = _ser_mul(level, hn, hp, target)
-        err = _ser_mul(level, hn, hp, target)
-        delta = [rev[i] - err[i] for i in range(target)]
-        corr = _ser_mul(level, delta, _ser_inv(level, hn, target), target)
-        h = [hp[i] + inv_n * corr[i] for i in range(target)]
-        known = target
-    root = trim(tuple(reversed(h)))
-    if deg(root) != m:
-        return None
+    den, (rows,), _, _ = _int_rows([f[d - m :]])
+    rev = rows[::-1]  # rev[j] = den * f_(d-j)
+    r = n_root
+    common = 1  # h_k = h[k] / common
+    h = [[1] + [0] * (phi - 1)]
+    for k in range(1, m + 1):
+        acc = [0] * slots
+        for j in range(1, k + 1):
+            w = (r + 1) * j - r * k
+            if w:
+                _mac_rows(acc, [w * x for x in rev[j]], h[k - j], 0, slots)
+        # h_k = v / (r k den common), reduced to its own denominator e
+        v = ctx.reduce(acc)
+        scale = r * k * den * common
+        g = math.gcd(scale, *v)
+        e = scale // g
+        grow = e // math.gcd(common, e)
+        if grow != 1:
+            common *= grow
+            h = [[x * grow for x in row] for row in h]
+        lift = common // e
+        h.append([x // g * lift for x in v])
+    root = tuple(
+        CycNum._make(level, tuple(Fraction(x, common) for x in row)) for row in reversed(h)
+    )
     if ppow(root, n_root) != trim(tuple(f)):
         return None
     return root
@@ -202,19 +234,6 @@ def _split_prime_with_root(n: int, lower: int) -> tuple[int, int]:
                 if all(pow(w, n // q, p) != 1 for q in prime_divisors(n)):
                     return p, w
         p += 1
-
-
-def _reduce_mod(c: CycNum, w: int, p: int) -> int:
-    acc = 0
-    wp = 1
-    for fr in c.coords:
-        num = fr.numerator % p
-        den = fr.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("denominator divisible by the chosen prime")
-        acc = (acc + num * pow(den, -1, p) * wp) % p
-        wp = wp * w % p
-    return acc
 
 
 def _gcd_mod_p(fp: list[int], gp: list[int], p: int) -> list[int]:
@@ -247,24 +266,18 @@ def squarefree_certificate(f, level: int, attempts: int = 5) -> bool:
     a coprime reduction proves coprimality over the field. Returns False only
     if every attempted reduction has a nontrivial gcd.
     """
-    df = pderiv(f)
-    if not df:
-        return deg(f) <= 0
+    from .qseries import _int_rows
+
+    if deg(f) <= 0:
+        return True
     # clear denominators once so every reduction is well defined
-    den = 1
-    for c in f:
-        for fr in c.coords:
-            den = den * fr.denominator // math.gcd(den, fr.denominator)
-    cleared = tuple(c * den for c in f)
-    cleared_d = pderiv(cleared)
+    _, (rows,), _, _ = _int_rows([f])
     p = max(deg(f) + 1, level)
     for _ in range(attempts):
         p, w = _split_prime_with_root(level, p)
-        try:
-            red_f = [_reduce_mod(c, w, p) for c in cleared]
-            red_df = [_reduce_mod(c, w, p) for c in cleared_d]
-        except ZeroDivisionError:
-            continue
+        powers = [pow(w, z, p) for z in range(len(rows[0]))]
+        red_f = [sum(v * wz for v, wz in zip(row, powers)) % p for row in rows]
+        red_df = [k * red_f[k] % p for k in range(1, len(red_f))]
         if not red_f or red_f[-1] == 0:
             continue  # degree dropped; reduction not usable
         g = _gcd_mod_p(red_f, red_df, p)

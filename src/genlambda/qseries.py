@@ -332,37 +332,60 @@ class QSeries:
 # ---------------------------------------------------------------------------
 
 
+def _digit_width(max_a: int, max_b: int, terms: int) -> int:
+    """Bits per packed digit, a multiple of 8, for sums of `terms` products of
+    coordinates bounded by max_a and max_b: no digit can overflow."""
+    width = max_a.bit_length() + max_b.bit_length() + terms.bit_length() + 2
+    return max(8, (width + 7) & ~7)
+
+
 def _pack_rows(rows, width: int):
+    """One int per row of signed digits (lowest first) in base 2^width.
+
+    Each digit is biased by 2^(width-1) into `width // 8` bytes, so a row
+    packs in time linear in its length; width is a multiple of 8 and every
+    |digit| < 2^(width-1)."""
+    nbytes = width >> 3
+    half = 1 << (width - 1)
+    biases = {}
     packed = []
     for row in rows:
-        x = 0
-        for v in reversed(row):
-            x = (x << width) + v
-        packed.append(x)
+        if not any(row):
+            packed.append(0)
+            continue
+        bias = biases.get(len(row))
+        if bias is None:
+            bias = biases[len(row)] = int.from_bytes(
+                half.to_bytes(nbytes, "little") * len(row), "little"
+            )
+        buf = b"".join([(v + half).to_bytes(nbytes, "little") for v in row])
+        packed.append(int.from_bytes(buf, "little") - bias)
     return packed
 
 
 def _unpack_digits(x: int, width: int, count: int):
-    mask = (1 << width) - 1
+    """The `count` balanced base-2^width digits of x, in linear time: adding
+    the bias 2^(width-1) to every digit makes them all bytes-aligned and
+    nonnegative. Raises ArithmeticError if x does not fit."""
+    nbytes = width >> 3
     half = 1 << (width - 1)
-    full = 1 << width
-    out = []
-    for _ in range(count):
-        d = x & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        x = (x - d) >> width
-    if x != 0:
-        raise ArithmeticError("packed-digit overflow: width chosen too small")
-    return out
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+    try:
+        buf = (x + bias).to_bytes(nbytes * count, "little")
+    except OverflowError:
+        raise ArithmeticError("packed-digit overflow: width chosen too small") from None
+    return [
+        int.from_bytes(buf[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * count, nbytes)
+    ]
 
 
-def _pack_poly(coeff_windows, phi: int):
-    """Common denominator and packed integer rows for a whole list of
-    coefficient windows. Returns (den, packed rows per window, maxabs, maxlen)."""
+def _int_rows(polys):
+    """One common denominator for a list of CycNum sequences, and their
+    integer coordinate rows. Returns (den, rows per sequence, largest
+    |coordinate| (at least 1), longest sequence length (at least 1))."""
     den = 1
-    for (_, _, cs) in coeff_windows:
+    for cs in polys:
         for c in cs:
             for fr in c.coords:
                 d = fr.denominator
@@ -371,7 +394,7 @@ def _pack_poly(coeff_windows, phi: int):
     packed = []
     maxabs = 1
     maxlen = 1
-    for (_, _, cs) in coeff_windows:
+    for cs in polys:
         rows = []
         for c in cs:
             row = []
@@ -387,6 +410,27 @@ def _pack_poly(coeff_windows, phi: int):
             maxlen = len(rows)
         packed.append(rows)
     return den, packed, maxabs, maxlen
+
+
+def _mac_rows(acc, xs, ys, base: int, limit: int):
+    """acc[base + a + b] += xs[a] * ys[b] for every base + a + b < limit: the
+    integer pair loop of the packed product kernels."""
+    for ia, x in enumerate(xs):
+        if not x:
+            continue
+        off = base + ia
+        room = limit - off
+        if room <= 0:
+            break
+        if room >= len(ys):
+            for jb, y in enumerate(ys):
+                if y:
+                    acc[off + jb] += x * y
+        else:
+            for jb in range(room):
+                y = ys[jb]
+                if y:
+                    acc[off + jb] += x * y
 
 
 def _norm_window(level, ord_, prec, coeffs):
@@ -426,12 +470,9 @@ def xpoly_mul_windows(level, P, Q):
                 precs[k] = pr
     ctx = get_context(level)
     phi = ctx.phi
-    da, rows_p, ma, la = _pack_poly(P, phi)
-    db, rows_q, mb, lb = _pack_poly(Q, phi)
-    pair_bound = min(lenp, lenq) * min(la, lb) * phi
-    width = ma.bit_length() + mb.bit_length() + pair_bound.bit_length() + 2
-    if width < 8:
-        width = 8
+    da, rows_p, ma, la = _int_rows([cs for (_, _, cs) in P])
+    db, rows_q, mb, lb = _int_rows([cs for (_, _, cs) in Q])
+    width = _digit_width(ma, mb, min(lenp, lenq) * min(la, lb) * phi)
     if _mpz is not None and lenp * lenq * la * lb >= _KRONECKER_THRESHOLD:
         return _mac_kronecker(
             level, P, Q, ords, precs, rows_p, rows_q, da * db, width, phi
@@ -444,30 +485,11 @@ def xpoly_mul_windows(level, P, Q):
             continue
         oa = P[i][0]
         for j, qb_rows in enumerate(packed_q):
-            if not qb_rows:
-                continue
-            k = i + j
-            acc = accs[k]
-            limit = precs[k]
-            base = oa + Q[j][0] - ords[k]
-            for ia, x in enumerate(pa_rows):
-                if not x:
-                    continue
-                off = base + ia
-                room = limit - ords[k] - off
-                if room <= 0:
-                    break
-                if room >= len(qb_rows):
-                    for jb, y in enumerate(qb_rows):
-                        if y:
-                            acc[off + jb] += x * y
-                else:
-                    for jb in range(room):
-                        y = qb_rows[jb]
-                        if y:
-                            acc[off + jb] += x * y
+            if qb_rows:
+                k = i + j
+                base = oa + Q[j][0] - ords[k]
+                _mac_rows(accs[k], pa_rows, qb_rows, base, precs[k] - ords[k])
     den = da * db
-    rows_tab = ctx.power_rows
     zero = CycNum.zero(level)
     out = []
     for k in range(out_len):
@@ -476,15 +498,7 @@ def xpoly_mul_windows(level, P, Q):
             if not x:
                 coeffs.append(zero)
                 continue
-            digits = _unpack_digits(x, width, 2 * phi - 1)
-            vec = digits[:phi]
-            for e in range(phi, 2 * phi - 1):
-                dk = digits[e]
-                if dk:
-                    row = rows_tab[e]
-                    for j in range(phi):
-                        if row[j]:
-                            vec[j] += dk * row[j]
+            vec = ctx.reduce(_unpack_digits(x, width, 2 * phi - 1))
             coeffs.append(
                 CycNum._make(level, tuple(Fraction(v, den) for v in vec))
             )

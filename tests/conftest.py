@@ -10,11 +10,6 @@ settings.register_profile(
 settings.load_profile("exact-arith")
 
 
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    # keep acceptance prints visible even without -s
-    pass
-
-
 @pytest.fixture(scope="session")
 def built_levels():
     """Minimal polynomials for the levels the suites compare against,

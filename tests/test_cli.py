@@ -101,3 +101,9 @@ def test_text_format_and_out(tmp_path, capsys):
     )
     body = out.read_text()
     assert "q^0" in body and "-1/3" in body
+
+
+def test_unwritable_out_is_an_environment_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run(["counts", "--level", "3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -257,3 +257,75 @@ def test_threads_parameter_matches_serial():
     serial, _ = mp._product_poly_compact(3, threads=1)
     parallel, _ = mp._product_poly_compact(3, threads=2)
     assert serial == parallel
+
+
+def test_pool_failure_warns_and_falls_back(monkeypatch):
+    import concurrent.futures
+
+    import genlambda.minpoly as mp
+
+    class BrokenPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no processes here")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    serial, _ = mp._product_poly_compact(3, threads=1)
+    with pytest.warns(RuntimeWarning, match="OSError"):
+        fallback, _ = mp._product_poly_compact(3, threads=2)
+    assert fallback == serial
+
+
+def test_memo_keeps_only_checked_builds(monkeypatch):
+    import genlambda.minpoly as mp
+
+    calls = []
+    real = mp.check_root_identity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "_MEMO", {})
+    monkeypatch.setattr(mp, "check_root_identity", counting)
+    unchecked = build_F(3, self_check=False)
+    assert calls == []
+    checked = build_F(3)
+    assert len(calls) == 1
+    assert checked.to_json() == unchecked.to_json()
+    assert build_F(3) is checked and len(calls) == 1
+
+
+def _raise_p1_constant(F):
+    """F with +1 on the constant term of P_1: F(lambda, j) = 0 fails, but
+    the change first shows at q^(d-1), beyond the checked window."""
+    n = F.level
+    c = F.P[1][0]
+    P = (F.P[0], (c + 1,) + F.P[1][1:]) + F.P[2:]
+    return BivarPoly(level=n, d=F.d, ell=F.ell, t=F.t, prec=F.prec, P=P)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="check_root_identity reads a window that a change to the constant "
+    "term of P_1 of F(4) does not reach; a proved window is future work",
+)
+def test_root_identity_rejects_low_index_change(built_levels):
+    assert not check_root_identity(_raise_p1_constant(built_levels[4]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the disk cache revalidates with the same window, so it reuses "
+    "an F(4) whose P_1 constant term was changed",
+)
+def test_disk_cache_rebuilds_low_index_change(built_levels, tmp_path, monkeypatch):
+    import genlambda.minpoly as mp
+
+    F = built_levels[4]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"F_N4_p{F.prec}_v{mp.FORMAT_VERSION}.json").write_text(
+        _raise_p1_constant(F).to_json()
+    )
+    monkeypatch.setattr(mp, "_MEMO", {})
+    assert build_F(4, cache_dir=str(cache)).to_json() == F.to_json()

@@ -50,3 +50,74 @@ def test_monic_from_roots_and_conj():
     x2p1 = (CycNum.one(n), CycNum.zero(n), CycNum.one(n))
     assert p == pk.pmul(x2p1, x2p1)
     assert pk.pconj((i, CycNum.one(n))) == (-i, CycNum.one(n))
+
+
+# -- differential tests of the integer kernels against schoolbook CycNum ----
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from genlambda.cyclotomic import get_context
+
+KERNEL_LEVELS = (3, 4, 5, 6, 7, 8, 9, 12)
+
+
+def ref_mul(p, q):
+    """Schoolbook product on CycNum, the reference for pmul."""
+    if not p or not q:
+        return ()
+    out = [CycNum.zero(p[0].level)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return pk.trim(out)
+
+
+def ref_pow(p, e):
+    out = (CycNum.one(p[0].level),)
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
+coordinate = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60),
+)
+
+
+@st.composite
+def polys(draw, level, max_len=7):
+    phi = get_context(level).phi
+    coeffs = draw(
+        st.lists(st.lists(coordinate, min_size=phi, max_size=phi), max_size=max_len)
+    )
+    return pk.trim(tuple(CycNum(level, c) for c in coeffs))
+
+
+@given(st.data())
+def test_pmul_ppow_match_schoolbook(data):
+    n = data.draw(st.sampled_from(KERNEL_LEVELS))
+    p, q = data.draw(polys(n)), data.draw(polys(n))
+    assert pk.pmul(p, q) == ref_mul(p, q)
+    if p:
+        e = data.draw(st.integers(0, 4))
+        assert pk.ppow(p, e) == ref_pow(p, e)
+
+
+@given(st.data())
+def test_nth_root_and_peval_match_reference(data):
+    n = data.draw(st.sampled_from(KERNEL_LEVELS))
+    h = pk.trim(data.draw(polys(n, max_len=5)) + (CycNum.one(n),))
+    r = data.draw(st.sampled_from((2, 3)))
+    f = ref_pow(h, r)
+    assert pk.nth_root_monic(f, r, n) == h
+    spoiled = pk.padd(f, pk.constant(n, data.draw(st.sampled_from((1, -2, Fraction(1, 3))))))
+    assert pk.nth_root_monic(spoiled, r, n) is None
+    x = data.draw(polys(n, max_len=1))
+    x = x[0] if x else CycNum.zero(n)
+    acc = CycNum.zero(n)
+    for c in reversed(f):
+        acc = acc * x + c
+    assert pk.peval(f, x) == acc
