@@ -2,9 +2,10 @@
 
 Subcommands: qexp, cusps, minpoly, counts, sums, cm, verify. Output is JSON
 by default (format "text" gives aligned listings). Exit codes: 0 success,
-1 verification failure, 2 usage or environment error (such as an --out
-file that cannot be written). The disk cache directory for built
-minimal polynomials comes from GENLAMBDA_CACHE_DIR.
+1 verification failure (a failed build self-check prints an error: line),
+2 usage or environment error (such as an --out file that cannot be
+written). The disk cache directory for built minimal polynomials comes
+from GENLAMBDA_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -383,6 +384,9 @@ def run(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg, args)
         raise ValueError(f"unknown command {args.command!r}")
+    except minpoly.SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

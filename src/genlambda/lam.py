@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .forms import e_series, leading_theta
-from .modgroup import SL2Mat, nu_pair
+from .modgroup import SL2Mat
 from .qseries import QSeries, WindowError
 
 
@@ -94,14 +94,3 @@ def galois_partner_rows(m: SL2Mat, k: int) -> tuple[tuple[int, int], tuple[int, 
     """
     n = m.level
     return ((m.a % n, (m.b * k) % n), (m.c % n, (m.d * k) % n))
-
-
-def nu_series_order(m: SL2Mat, margin: int = 2) -> int:
-    """Order of L∘A measured from the actual series (oracle for nu)."""
-    n = m.level
-    prec = n + margin
-    return lambda_series(m, prec).order()
-
-
-def nu_formula(m: SL2Mat) -> int:
-    return nu_pair(m.a, m.c, m.level)

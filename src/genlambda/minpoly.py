@@ -8,6 +8,12 @@ works on a compressed q^N-grid representation.
 
 Window bookkeeping is exact throughout; the leaf precision adds the total
 pole mass N*ell so the final windows still reach the requested target.
+The product tree computes nothing beyond that target. It passes a `limit`
+in grid units down the tree, target_g at the root. A node with limit U
+whose halves L and R have smallest total ords m_L and m_R (each <= 0)
+computes L to U - m_R and R to U - m_L, since a coefficient of L*R below
+q^U never reads more; each leaf is truncated to its limit. The tree's
+output is the uncapped product truncated at target_g, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ class PrecisionError(ValueError):
     """Computed windows do not reach the precision the result requires."""
 
 
+class SelfCheckError(AssertionError):
+    """A freshly built F failed its root-identity self-check."""
+
+
 # ---------------------------------------------------------------------------
 # compressed q^N-grid series: plain tuples (ord, prec, coeffs) in grid units
 # ---------------------------------------------------------------------------
@@ -84,10 +94,6 @@ def _c_add(level, a, b):
                 break
             out[idx - og] = out[idx - og] + c
     return _c_norm(level, og, pg, out)
-
-
-def _c_mul(level, a, b):
-    return _mul_windows(level, a, b)
 
 
 def _c_neg(a):
@@ -159,10 +165,6 @@ def _xp_mul_dense(p, q):
     ]
 
 
-def _xp_mul_compact(level, p, q):
-    return xpoly_mul_windows(level, p, q)
-
-
 def _orbit_poly(n: int, rep_pair, convention: str, leaf_prec: int, one_prec: int):
     """prod_{i=0}^{N-1} (X - lambda∘(A T^i)) for the cusp's fixed matrix A,
     computed densely, grid-checked, and returned compressed (ascending X)."""
@@ -180,13 +182,27 @@ def _orbit_worker(args):
     return _orbit_poly(*args)
 
 
-def _tree_mul_compact(level, polys):
+def _min_ord(polys) -> int:
+    """Sum over the leaves of each leaf's smallest coefficient ord: a lower
+    bound for the ord of every coefficient of their product (<= 0, since
+    each leaf's leading coefficient is 1)."""
+    return sum(min(c[0] for c in p) for p in polys)
+
+
+def _tree_mul_compact(level, polys, limit: int):
+    """Product of the leaves, with every coefficient window ending at or
+    before `limit` (grid units): the uncapped product truncated there.
+
+    A coefficient of L*R at q^e < limit reads L only below
+    limit - min_ord(R), and R only below limit - min_ord(L), so each child
+    is computed to that demand and nothing beyond it."""
     if len(polys) == 1:
-        return polys[0]
+        return [_c_truncate(c, limit) for c in polys[0]]
     mid = len(polys) // 2
-    left = _tree_mul_compact(level, polys[:mid])
-    right = _tree_mul_compact(level, polys[mid:])
-    return _xp_mul_compact(level, left, right)
+    lo, hi = polys[:mid], polys[mid:]
+    left = _tree_mul_compact(level, lo, limit - _min_ord(hi))
+    right = _tree_mul_compact(level, hi, limit - _min_ord(lo))
+    return xpoly_mul_windows(level, left, right, limit=limit)
 
 
 def _product_poly_compact(
@@ -229,10 +245,10 @@ def _product_poly_compact(
             orbit_polys = None
     if orbit_polys is None:
         orbit_polys = [_orbit_poly(*task) for task in tasks]
-    coeffs = _tree_mul_compact(n, orbit_polys)
+    target_g = (target - 1) // n + 1
+    coeffs = _tree_mul_compact(n, orbit_polys, target_g)
     if len(coeffs) != d + 1:
         raise AssertionError("product degree mismatch")
-    target_g = (target - 1) // n + 1
     out = []
     for c in coeffs:
         if c[1] < target_g:
@@ -271,7 +287,7 @@ def _j_powers_compact(n: int, dense_prec: int, max_pow: int):
     powers = [(0, j[1] + 1, (CycNum.one(n),) + (CycNum.zero(n),) * j[1])]  # j^0 = 1
     cur = None
     for m in range(1, max_pow + 1):
-        cur = j if m == 1 else _c_mul(n, cur, j)
+        cur = j if m == 1 else _mul_windows(n, cur, j)
         powers.append(cur)
     return powers
 
@@ -424,13 +440,25 @@ def _rows_add(a, b, phi: int):
 
 
 def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) -> bool:
-    """Check F(lambda∘A-series, j-series) = 0 on the q-window [-N*ell, window).
+    """Check that F(lambda∘A-series, j-series) vanishes on the window
+    [ord, prec) of the final Horner value, for each matrix A.
 
-    Defaults to the identity matrix and window = 3N; raises PrecisionError
-    if the residual window cannot cover it. Vanishing on this window is not
-    a proof that F(lambda, j) = 0: a term c j^m lambda^(d-i) first shows at
+    The series are computed to prec = window + N*(ell + 2) (window defaults
+    to 3N), and the window rule of series arithmetic fixes where the final
+    value's window ends: before q^76 on F(7) and q^23 on F(4) for the identity
+    matrix. `window` is only the minimum: PrecisionError is raised if the
+    final window ends before q^window. Vanishing on this window is not a
+    proof that F(lambda, j) = 0: a term c j^m lambda^(d-i) first shows at
     q^(d-i-N m), so a change to a P_i of small i can lie beyond the window
     and pass (for F(4), +1 on the constant term of P_1 passes).
+
+    No product computes a coefficient the final window does not read. A
+    first pass runs the window rule alone (prec + ord(lambda) per product,
+    min with the prec of each D P_i(j)), which bounds the final prec by
+    `top`. A coefficient of the partial sum at q^e reaches the final value
+    only at q^(e + (d-i) ord(lambda)) or above, so the product at step i
+    stops at top - (d-i) ord(lambda); for either sign of ord(lambda) this
+    leaves the final window, and so the verdict, as it is without the cap.
 
     The arithmetic runs on integers. With D the common denominator of F's
     coordinates and L that of the lambda-series, the Horner steps
@@ -478,12 +506,18 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
         lam = lambda_series(mat, prec)
         ol, pl = lam.ord, lam.prec
         den_l, (lam_rows,), max_l, _ = _int_rows([lam.coeffs])
+        top = None  # the window rule alone: an upper bound on the final prec
+        for ps in p_series:
+            if top is not None:
+                top += ol
+            if ps is not None:
+                top = ps[1] if top is None else min(top, ps[1])
         v = None
         lift = 1  # den_l ** i
         for i in range(F.d + 1):
             if v is not None:
                 ov, pv, rows = v
-                o, pr = ov + ol, min(pv + ol, pl + ov)
+                o, pr = ov + ol, min(pv + ol, pl + ov, top - (F.d - i) * ol)
                 acc = [0] * max(pr - o, 0)
                 if rows and lam_rows:
                     max_v = max(abs(x) for row in rows for x in row)
@@ -553,34 +587,51 @@ def build_F(
         polys.append(_reduce_compact(n, coeffs[d - i], jp, ell))
     F = BivarPoly(level=n, d=d, ell=ell, t=t, prec=target, P=tuple(polys))
     if self_check and not check_root_identity(F):
-        raise AssertionError("self-check failed: F(lambda, j) != 0")
+        raise SelfCheckError(f"self-check failed for level {n}: F(lambda, j) != 0")
     if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(F.to_json())
-        os.replace(tmp, cache_path)
+        _store_cached(cache_path, F)
     if self_check:
         _MEMO[key] = F
     return F
 
 
+def _store_cached(path: str, F: BivarPoly) -> None:
+    """Write F to path through a temporary file of this writer's own in the
+    same directory, so concurrent writers never share or truncate a file."""
+    import tempfile
+
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".F_", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(F.to_json())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _load_cached(path: str, n: int, target: int) -> BivarPoly | None:
+    """The cached F for level n, or None if the file is missing, malformed,
+    has the wrong shape (N, d_N, ell_N, t_N or the number of P_i) or fails
+    the root identity. Any other exception propagates."""
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         F = BivarPoly.from_json_obj(obj)
+        d = degree_dn(n)
+        if (F.level, F.d, (F.ell, F.t), len(F.P)) != (n, d, nu_statistics(n), d + 1):
+            return None
         F = BivarPoly(
             level=F.level, d=F.d, ell=F.ell, t=F.t, prec=target, P=F.P
         )
-        if F.level != n:
-            return None
         if not check_root_identity(F):
             return None
         return F
-    except Exception:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
 
 
@@ -619,19 +670,39 @@ class Theorem1Report:
 
 
 def verify_theorem1(F: BivarPoly) -> Theorem1Report:
-    """Check the five structural facts about the P_i."""
+    """Check the five structural facts about the P_i.
+
+    Symmetry and integrality run on integer rows: each P_i is D_i times a
+    row of integer coordinates with D_i the least common denominator, which
+    conjugation keeps, so P_(d-i) = conj(P_i) compares D and rows.
+    """
     n, d = F.level, F.d
+    ctx = get_context(n)
+    phi = ctx.phi
+    slots = 2 * phi - 1
+    ints = [(den, rows) for den, (rows,), _, _ in (_int_rows([p]) for p in F.P)]
+
+    def row_mul(a, b):
+        prod = [0] * slots
+        _mac_rows(prod, a, b, 0, slots)
+        return ctx.reduce(prod)
+
+    flip = [ctx.power_rows[-k % n] for k in range(phi)]  # conj(z^k) = z^(N-k)
+
+    def conj(row):
+        return [sum(x * img[z] for x, img in zip(row, flip)) for z in range(phi)]
+
     clauses = []
 
     tail = F.P[d]
     ok_a = tail == (CycNum.one(n),)
     clauses.append(ClauseResult("monic_tail", ok_a, f"P_{d} = {'1' if ok_a else 'NOT 1'}"))
 
-    bad = [
-        i
-        for i in range(d + 1)
-        if F.P[d - i] != tuple(c.conj() for c in F.P[i])
-    ]
+    bad = []
+    for i in range(d + 1):
+        (den, rows), (den_c, rows_c) = ints[i], ints[d - i]
+        if den_c != den or rows_c != [conj(r) for r in rows]:
+            bad.append(i)
     clauses.append(
         ClauseResult(
             "conjugate_symmetry",
@@ -652,13 +723,15 @@ def verify_theorem1(F: BivarPoly) -> Theorem1Report:
         )
     )
 
-    w = (1 - CycNum.zeta(n)) ** 3
-    scale = CycNum.one(n)
+    u = [1, -1] + [0] * (phi - 2)  # 1 - z
+    w = row_mul(row_mul(u, u), u)
+    scale = [1] + [0] * (phi - 1)  # (1 - z)^(3i)
     bad = []
     for i in range(d + 1):
         if i:
-            scale = scale * w
-        if not all((scale * c).is_integral() for c in F.P[i]):
+            scale = row_mul(scale, w)
+        den, rows = ints[i]
+        if den != 1 and any(x % den for r in rows for x in row_mul(scale, r)):
             bad.append(i)
     clauses.append(
         ClauseResult(

@@ -225,10 +225,6 @@ def nu_orbit(rep: CuspRep, n: int) -> list[int]:
     return [nu_pair(rep.a, rep.c, n)] * n
 
 
-def pole_cusps(n: int) -> list[CuspRep]:
-    return [r for r in cusp_reps(n) if nu_pair(r.a, r.c, n) < 0]
-
-
 def nu_statistics(n: int) -> tuple[int, int]:
     """(ell, t) by direct enumeration: ell = total pole order of the lambda
     function over the cusp classes, t = number of pole cusps."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -19,13 +18,6 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def inv_mod(a: int, n: int) -> int:
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    return x % n
 
 
 @lru_cache(maxsize=None)
@@ -66,15 +58,6 @@ def euler_phi(n: int) -> int:
     for p in prime_divisors(n):
         phi -= phi // p
     return phi
-
-
-def moebius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 def divisors(n: int) -> list[int]:
@@ -133,15 +116,6 @@ def _is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(abs(n)))
 
 
-def primes_in_class(residue: int, modulus: int, start: int = 2):
-    """Yield primes p ≡ residue (mod modulus) with p >= start, ascending."""
-    p = max(start, 2)
-    while True:
-        if _is_prime(p) and p % modulus == residue % modulus:
-            yield p
-        p += 1
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -165,7 +139,3 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)

@@ -442,12 +442,15 @@ def _norm_window(level, ord_, prec, coeffs):
     return (ord_ + k, prec, tuple(coeffs[k:]))
 
 
-def xpoly_mul_windows(level, P, Q):
+def xpoly_mul_windows(level, P, Q, *, limit=None):
     """Product of two X-polynomials whose coefficients are series windows.
 
     P and Q are lists of (ord, prec, coeffs-of-CycNum) indexed by X-power;
     the return value has length len(P) + len(Q) - 1 in the same shape, with
-    leading zero coefficients stripped per window. All coefficient
+    leading zero coefficients stripped per window. With `limit`, every
+    output window ends at or before it: the result is the uncapped product
+    truncated at `limit`, and no coefficient at or beyond it is computed
+    (the pair loop skips those pairs). All coefficient
     arithmetic runs packed: one denominator per polynomial, one big-int
     per series coefficient, plain integer multiply-accumulate across both
     the X- and q-dimensions, one Fraction reconstruction per output entry.
@@ -468,6 +471,8 @@ def xpoly_mul_windows(level, P, Q):
                 ords[k] = o
             if precs[k] is None or pr < precs[k]:
                 precs[k] = pr
+    if limit is not None:
+        precs = [min(pr, limit) for pr in precs]
     ctx = get_context(level)
     phi = ctx.phi
     da, rows_p, ma, la = _int_rows([cs for (_, _, cs) in P])

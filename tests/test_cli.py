@@ -107,3 +107,15 @@ def test_unwritable_out_is_an_environment_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert run(["counts", "--level", "3", "--out", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_self_check_failure_exits_1(capsys, monkeypatch):
+    import genlambda.minpoly as mp
+
+    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(mp, "_MEMO", {})
+    monkeypatch.setattr(mp, "check_root_identity", lambda *args, **kwargs: False)
+    assert run(["minpoly", "build", "--level", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: self-check failed")
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -329,3 +329,70 @@ def test_disk_cache_rebuilds_low_index_change(built_levels, tmp_path, monkeypatc
     )
     monkeypatch.setattr(mp, "_MEMO", {})
     assert build_F(4, cache_dir=str(cache)).to_json() == F.to_json()
+
+
+def test_disk_cache_concurrent_writers(built_levels, tmp_path):
+    """Two processes rewrite one cache file at the same time: neither
+    fails, no temporary file is left, and the file holds F."""
+    import os
+    import subprocess
+    import sys
+    import time
+
+    import genlambda
+    import genlambda.minpoly as mp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genlambda.__file__)))
+    path = tmp_path / "cache" / "F_N3.json"
+    code = (
+        "import sys, time\n"
+        "from genlambda import minpoly as mp\n"
+        "F = mp.build_F(3, self_check=False)\n"
+        "start = float(sys.argv[2])\n"
+        "while time.time() < start:\n"
+        "    time.sleep(0.005)\n"
+        "while time.time() < start + 0.5:\n"
+        "    mp._store_cached(sys.argv[1], F)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = str(time.time() + 3)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(path), start], env=env, stderr=subprocess.PIPE
+        )
+        for _ in range(2)
+    ]
+    errors = [p.communicate(timeout=120)[1].decode() for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], errors
+    assert os.listdir(path.parent) == [path.name]
+    F = built_levels[3]
+    assert mp._load_cached(str(path), 3, F.prec).to_json() == F.to_json()
+
+
+def test_disk_cache_rebuilds_wrong_shape(built_levels, tmp_path, monkeypatch):
+    """A cached F(3) whose ellN is wrong passes the root identity but is
+    rejected by the shape check, rebuilt and rewritten."""
+    import genlambda.minpoly as mp
+
+    F = built_levels[3]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"F_N3_p{F.prec}_v{mp.FORMAT_VERSION}.json"
+    obj = json.loads(F.to_json())
+    obj["ellN"] = 2
+    path.write_text(json.dumps(obj))
+    assert check_root_identity(BivarPoly.from_json_obj(obj))
+    monkeypatch.setattr(mp, "_MEMO", {})
+    G = build_F(3, cache_dir=str(cache))
+    assert G.ell == 1 and G.to_json() == F.to_json()
+    assert path.read_text() == F.to_json()
+
+
+def test_self_check_failure_is_named(monkeypatch):
+    import genlambda.minpoly as mp
+
+    monkeypatch.setattr(mp, "_MEMO", {})
+    monkeypatch.setattr(mp, "check_root_identity", lambda *args, **kwargs: False)
+    with pytest.raises(mp.SelfCheckError, match="self-check failed"):
+        build_F(3)
+    assert issubclass(mp.SelfCheckError, AssertionError)

@@ -148,3 +148,63 @@ def test_window_bookkeeping_formulas():
     # composing in different orders agrees on the common window
     c = QSeries.from_coeff_map(3, {0: 1, 1: 1}, 0, 6)
     assert ((a * b) * c).agrees(a * (b * c))
+
+
+def _truncate(w, limit):
+    """The window w = (ord, prec, coeffs) cut to exponents below limit."""
+    o, p, cs = w
+    if limit >= p:
+        return w
+    cs = cs[: max(limit - o, 0)]
+    k = 0
+    while k < len(cs) and cs[k].is_zero():
+        k += 1
+    return (limit, limit, ()) if k == len(cs) else (o + k, limit, tuple(cs[k:]))
+
+
+def _window(level):
+    """A normalized window with a possibly negative ord, or an empty one."""
+    nonempty = _series(level, lo=-5, width_max=6).map(lambda s: (s.ord, s.prec, s.coeffs))
+    empty = st.integers(-4, 6).map(lambda p: (p, p, ()))
+    return st.one_of(nonempty, nonempty, empty)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 7])
+def test_xpoly_mul_limit_is_truncated_product(level):
+    from genlambda.qseries import xpoly_mul_windows
+
+    poly = st.lists(_window(level), min_size=1, max_size=3)
+
+    @given(poly, poly, st.integers(-8, 12))
+    def inner(p, q, limit):
+        full = xpoly_mul_windows(level, p, q)
+        capped = xpoly_mul_windows(level, p, q, limit=limit)
+        assert capped == [_truncate(w, limit) for w in full]
+        assert all(w[1] <= limit for w in capped)
+
+    inner()
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 7])
+def test_product_tree_limit_is_truncated_product(level):
+    """Demand-bounded tree against the same tree without limits, on monic
+    leaves (leading coefficient 1 at q^0) like the orbit leaves."""
+    from genlambda.minpoly import _tree_mul_compact
+    from genlambda.qseries import xpoly_mul_windows
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        mid = len(leaves) // 2
+        return xpoly_mul_windows(level, tree(leaves[:mid]), tree(leaves[mid:]))
+
+    one = (0, 9, (CycNum.one(level),) + (CycNum.zero(level),) * 8)
+    leaf = st.lists(_window(level), min_size=1, max_size=2).map(lambda cs: cs + [one])
+
+    @given(st.lists(leaf, min_size=1, max_size=5), st.integers(1, 6))
+    def inner(leaves, limit):
+        full = tree(leaves)
+        capped = _tree_mul_compact(level, leaves, limit)
+        assert capped == [_truncate(w, limit) for w in full]
+
+    inner()
