@@ -2,7 +2,8 @@
 
 Subcommands: qexp, cusps, minpoly, counts, sums, cm, verify. Output is JSON
 by default (format "text" gives aligned listings). Exit codes: 0 success,
-1 verification failure (a failed build self-check prints an error: line),
+1 verification failure (a failed build self-check or a packed-digit
+overflow in the product kernel prints an error: line),
 2 usage or environment error (such as an --out file that cannot be
 written). The disk cache directory for built minimal polynomials comes
 from GENLAMBDA_CACHE_DIR.
@@ -390,6 +391,9 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # the product kernel's digit-overflow guard
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -55,7 +55,7 @@ def e_series(r: int, s: int, n: int, prec: int) -> QSeries:
             nn = 1
             while m_ * nn * n < prec:
                 w_n = CycNum.zeta(n, (mu * s * nn) % n)
-                term = (w_n + w_n.inv() - 2) * nn
+                term = (w_n + CycNum.zeta(n, (-mu * s * nn) % n) - 2) * nn
                 add(m_ * nn * n, term)
                 nn += 1
             m_ += 1
@@ -72,7 +72,7 @@ def e_series(r: int, s: int, n: int, prec: int) -> QSeries:
                 w_n = CycNum.zeta(n, (mu * s * nn) % n)
                 base = m_ * nn * n
                 add(base + nn * br, w_n * nn)
-                add(base - nn * br, w_n.inv() * nn)
+                add(base - nn * br, CycNum.zeta(n, (-mu * s * nn) % n) * nn)
                 add(base, CycNum.from_rational(n, -2 * nn))
                 m_ += 1
             nn += 1

@@ -6,6 +6,13 @@ polynomials in j. Coefficient series of the product are supported on
 exponents divisible by N, so after the per-cusp orbit products the tree
 works on a compressed q^N-grid representation.
 
+The orbit product of a cusp with matrix A is its leaf,
+prod_{i<N} (X - f(zeta^i q)) for f = lambda∘A. Its power sums are
+p_m = sum_i f(zeta^i q)^m = N grid(f^m), since the twists cancel every
+exponent off the q^N grid. The leaf's coefficient a_k of X^(N-k) follows
+from Newton's identities, k a_k = -sum_{i=1..k} a_(k-i) p_i with a_0 = 1:
+N - 1 dense products for the powers, then short products on the grid.
+
 Window bookkeeping is exact throughout; the leaf precision adds the total
 pole mass N*ell so the final windows still reach the requested target.
 The product tree computes nothing beyond that target. It passes a `limit`
@@ -38,12 +45,11 @@ from .polyk import (
 )
 from .qseries import (
     QSeries,
-    _digit_width,
     _int_rows,
     _mac_rows,
     _mul_windows,
-    _pack_rows,
-    _unpack_digits,
+    _norm_window,
+    _pair_mac,
     xpoly_mul_windows,
 )
 
@@ -71,16 +77,6 @@ class SelfCheckError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def _c_norm(level, og, pg, coeffs):
-    k = 0
-    coeffs = list(coeffs)
-    while k < len(coeffs) and coeffs[k].is_zero():
-        k += 1
-    if k == len(coeffs):
-        return (pg, pg, ())
-    return (og + k, pg, tuple(coeffs[k:]))
-
-
 def _c_add(level, a, b):
     ao, ap, ac = a
     bo, bp, bc = b
@@ -93,7 +89,7 @@ def _c_add(level, a, b):
             if idx >= pg:
                 break
             out[idx - og] = out[idx - og] + c
-    return _c_norm(level, og, pg, out)
+    return _norm_window(level, og, pg, out)
 
 
 def _c_neg(a):
@@ -112,7 +108,7 @@ def _c_truncate(a, pg_new):
         return a
     if pg_new <= og:
         return (pg_new, pg_new, ())
-    return _c_norm(None, og, pg_new, cs[: pg_new - og])
+    return _norm_window(None, og, pg_new, cs[: pg_new - og])
 
 
 def _compress(s: QSeries):
@@ -132,7 +128,7 @@ def _compress(s: QSeries):
     for e in range(og, pg):
         k = e * n
         coeffs.append(s.coeff(k) if s.ord <= k < s.prec else CycNum.zero(n))
-    return _c_norm(n, og, pg, coeffs)
+    return _norm_window(n, og, pg, coeffs)
 
 
 def _decompress(level, a) -> QSeries:
@@ -156,26 +152,38 @@ def _decompress(level, a) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _xp_mul_dense(p, q):
-    level = p[0].level
-    pw = [(s.ord, s.prec, s.coeffs) for s in p]
-    qw = [(s.ord, s.prec, s.coeffs) for s in q]
-    return [
-        QSeries(level, o, cs, pr) for (o, pr, cs) in xpoly_mul_windows(level, pw, qw)
-    ]
+def _grid_part(level, w):
+    """The q^N-grid part of a dense window (ord, prec, coeffs), in grid units."""
+    o, p, cs = w
+    og = -(-o // level)
+    pg = (p - 1) // level + 1
+    return _norm_window(level, og, pg, [cs[g * level - o] for g in range(og, pg)])
 
 
 def _orbit_poly(n: int, rep_pair, convention: str, leaf_prec: int, one_prec: int):
-    """prod_{i=0}^{N-1} (X - lambda∘(A T^i)) for the cusp's fixed matrix A,
-    computed densely, grid-checked, and returned compressed (ascending X)."""
+    """The leaf of the cusp with fixed matrix A, on the q^N grid (ascending
+    X), from power sums (see the module docstring). Its windows are those
+    of the product of linear factors: f^k has the dense window
+    [k nu, leaf_prec + (k-1) nu), and so has a_k on the grid, since the
+    other terms of its Newton sum reach as far; the leading 1 keeps
+    `one_prec`."""
     rep = next(r for r in cusp_reps(n, convention) if r.pair == tuple(rep_pair))
-    base = lambda_series(rep.matrix, leaf_prec)
-    one = QSeries.one(n, one_prec)
-    poly = [one]
-    for i in range(n):
-        f = base if i == 0 else base.twist(i)
-        poly = _xp_mul_dense(poly, [-f, one])
-    return [_compress(c) for c in poly]
+    f = lambda_series(rep.matrix, leaf_prec)
+    f = (f.ord, f.prec, f.coeffs)
+    power = f
+    sums = [None]  # sums[m] = grid(f^m) = p_m / N
+    for m in range(1, n + 1):
+        if m > 1:
+            power = _mul_windows(n, power, f)
+        sums.append(_grid_part(n, power))
+    pg = (one_prec - 1) // n + 1
+    coeffs = [(0, pg, (CycNum.one(n),) + (CycNum.zero(n),) * (pg - 1))]  # a_k
+    for k in range(1, n + 1):
+        acc = sums[k]
+        for i in range(1, k):
+            acc = _c_add(n, acc, _mul_windows(n, coeffs[k - i], sums[i]))
+        coeffs.append(_c_scale(n, acc, CycNum.from_rational(n, Fraction(-n, k))))
+    return coeffs[::-1]
 
 
 def _orbit_worker(args):
@@ -518,20 +526,10 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
             if v is not None:
                 ov, pv, rows = v
                 o, pr = ov + ol, min(pv + ol, pl + ov, top - (F.d - i) * ol)
-                acc = [0] * max(pr - o, 0)
-                if rows and lam_rows:
-                    max_v = max(abs(x) for row in rows for x in row)
-                    width = _digit_width(max_v, max_l, min(len(rows), len(lam_rows)) * phi)
-                    _mac_rows(
-                        acc, _pack_rows(rows, width), _pack_rows(lam_rows, width), 0, pr - o
-                    )
-                    acc = [
-                        ctx.reduce(_unpack_digits(x, width, 2 * phi - 1)) if x else zero
-                        for x in acc
-                    ]
-                else:
-                    acc = [zero] * len(acc)
-                v = _rows_norm(o, pr, acc)
+                max_v = max((abs(x) for row in rows for x in row), default=1)
+                bound = max_v * max_l * len(lam_rows) * phi
+                (acc,) = _pair_mac([(ov, rows)], [(ol, lam_rows)], [o], [pr], bound, ctx)
+                v = _rows_norm(o, pr, [zero if x is None else x for x in acc])
             ps = p_series[i]
             if ps is not None:
                 if lift != 1:

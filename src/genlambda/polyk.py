@@ -54,10 +54,6 @@ def padd(p, q) -> tuple:
     return trim(out)
 
 
-def pneg(p) -> tuple:
-    return tuple(-c for c in p)
-
-
 def pscale(p, c) -> tuple:
     if not isinstance(c, CycNum) and p:
         c = CycNum.from_rational(p[0].level, c)

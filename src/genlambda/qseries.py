@@ -5,31 +5,44 @@ coefficient, and an exclusive precision bound `prec`: every coefficient of
 q^k with ord <= k < prec is stored exactly. Precision is propagated through
 arithmetic and never silently extended.
 
-Multiplication runs on an integer kernel: coefficients are put over a common
-denominator, each K_N coordinate vector is packed into a single big integer
-(digits in base 2^B), and the q-convolution becomes plain integer
-multiply-accumulate. The packing width B is chosen from coefficient bounds
-so digits never overlap.
+Products run on integers: coefficients go over a common denominator, so
+each is a row of phi(N) coordinates, and a product of two rows has
+2 phi - 1 zeta-slots, reduced mod Phi_N afterwards. Two engines form the
+same sums. The pair loop packs each row into one int (slots in base 2^B)
+and multiplies every pair of coefficients that lands in an output window;
+its cost grows with the pairs. The decimal engine is a Kronecker
+substitution in base 10^D through `decimal` (libmpdec, whose
+number-theoretic transform multiplies n digits in O(n log n)); its cost
+grows with the output, a string slice and an int per zeta-slot.
+
+Size rule: the decimal engine runs from _PAIRS_PER_LANE = 150 operand
+pairs (the product of the operands' nonzero coefficient counts) per output
+coefficient. Timing both engines on every product of a cold build_F(7)
+(2-vCPU x86-64, Python 3.11), the pair loop took 0.4-0.7 of the decimal
+engine's time from 1 to 128 pairs per output coefficient (series
+inverses, the Newton sums of the orbit leaves, low tree nodes), and the
+decimal engine 0.3-0.85 of the pair loop's from 165 up (the dense powers
+f^m, upper tree nodes).
+
+Digit cap: a Decimal product takes scratch space in proportion to its
+operands, so an operand over _DIGIT_CAP = 2^18 digits is cut into blocks
+of q-lanes. The tree of a cold build_F(7) took 4.4 s at a peak RSS of
+29 MiB, against 6.2 s and 29 MiB at 2^17, 4.5 s and 34 MiB at 2^19, and
+3.8 s and 65 MiB uncapped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycNum, LevelMismatchError, get_context
 
-try:  # optional: GMP-backed integers make the product kernels much faster
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _mpz = None
-
-_ZERO = Fraction(0)
-
-# above this pair-work estimate, products switch to the single-big-integer
-# (Kronecker substitution) engine when gmpy2 is available
-_KRONECKER_THRESHOLD = 1_000_000
+_DIGIT_CAP = 1 << 18
+_PAIRS_PER_LANE = 150
 
 
 class WindowError(ValueError):
@@ -449,169 +462,153 @@ def xpoly_mul_windows(level, P, Q, *, limit=None):
     the return value has length len(P) + len(Q) - 1 in the same shape, with
     leading zero coefficients stripped per window. With `limit`, every
     output window ends at or before it: the result is the uncapped product
-    truncated at `limit`, and no coefficient at or beyond it is computed
-    (the pair loop skips those pairs). All coefficient
-    arithmetic runs packed: one denominator per polynomial, one big-int
-    per series coefficient, plain integer multiply-accumulate across both
-    the X- and q-dimensions, one Fraction reconstruction per output entry.
-    Large products are delegated to a Kronecker-substitution engine (one
-    giant integer multiplication) when gmpy2 is installed; results are
-    identical either way.
+    truncated at `limit`. The size rule picks the pair loop or the decimal
+    engine (see the module docstring); results are identical either way.
     """
     lenp, lenq = len(P), len(Q)
     out_len = lenp + lenq - 1
-    ords = [None] * out_len
-    precs = [None] * out_len
-    for i, (oa, pa, _) in enumerate(P):
-        for j, (ob, pb, _) in enumerate(Q):
-            k = i + j
-            o = oa + ob
-            pr = min(pa + ob, pb + oa)
-            if ords[k] is None or o < ords[k]:
-                ords[k] = o
-            if precs[k] is None or pr < precs[k]:
-                precs[k] = pr
+    terms = [[(P[i], Q[k - i]) for i in range(max(0, k - lenq + 1), min(k, lenp - 1) + 1)]
+          for k in range(out_len)]
+    ords = [min(a[0] + b[0] for a, b in ab) for ab in terms]
+    precs = [min(min(a[1] + b[0], b[1] + a[0]) for a, b in ab) for ab in terms]
     if limit is not None:
         precs = [min(pr, limit) for pr in precs]
     ctx = get_context(level)
-    phi = ctx.phi
     da, rows_p, ma, la = _int_rows([cs for (_, _, cs) in P])
     db, rows_q, mb, lb = _int_rows([cs for (_, _, cs) in Q])
-    width = _digit_width(ma, mb, min(lenp, lenq) * min(la, lb) * phi)
-    if _mpz is not None and lenp * lenq * la * lb >= _KRONECKER_THRESHOLD:
-        return _mac_kronecker(
-            level, P, Q, ords, precs, rows_p, rows_q, da * db, width, phi
-        )
-    packed_p = [_pack_rows(rows, width) for rows in rows_p]
-    packed_q = [_pack_rows(rows, width) for rows in rows_q]
-    accs = [[0] * max(precs[k] - ords[k], 0) for k in range(out_len)]
-    for i, pa_rows in enumerate(packed_p):
-        if not pa_rows:
-            continue
-        oa = P[i][0]
-        for j, qb_rows in enumerate(packed_q):
-            if qb_rows:
-                k = i + j
-                base = oa + Q[j][0] - ords[k]
-                _mac_rows(accs[k], pa_rows, qb_rows, base, precs[k] - ords[k])
+    bound = ma * mb * min(lenp, lenq) * min(la, lb) * ctx.phi  # |any product slot|
+    P = [(o, rows) for (o, _, _), rows in zip(P, rows_p)]
+    Q = [(o, rows) for (o, _, _), rows in zip(Q, rows_q)]
+    nz_p, nz_q = [sum(any(row) for _, rows in F for row in rows) for F in (P, Q)]
+    lanes = sum(max(p - o, 0) for o, p in zip(ords, precs))
+    mac = _decimal_mac if nz_p * nz_q >= _PAIRS_PER_LANE * lanes else _pair_mac
+    accs = mac(P, Q, ords, precs, bound, ctx)
     den = da * db
     zero = CycNum.zero(level)
     out = []
     for k in range(out_len):
-        coeffs = []
-        for x in accs[k]:
-            if not x:
-                coeffs.append(zero)
-                continue
-            vec = ctx.reduce(_unpack_digits(x, width, 2 * phi - 1))
-            coeffs.append(
-                CycNum._make(level, tuple(Fraction(v, den) for v in vec))
-            )
+        coeffs = [
+            zero if vec is None else CycNum._make(level, tuple(Fraction(v, den) for v in vec))
+            for vec in accs[k]
+        ]
+        accs[k] = None
         out.append(_norm_window(level, ords[k], precs[k], coeffs))
     return out
 
 
-def _mac_kronecker(level, P, Q, ords, precs, rows_p, rows_q, den, width, phi):
-    """Same product as the pair loop, via one giant-integer multiplication.
+def _pair_mac(P, Q, ords, precs, bound: int, ctx):
+    """P and Q list (ord, integer rows) by X-power, and every product slot
+    is below `bound` in absolute value. Returns, per output X-power, the
+    power-basis integer vector of each coefficient of its window [ords[k],
+    precs[k]) (None for 0), from the integer pair loop."""
+    width = _digit_width(bound, 1, 1)
+    packed_p = [_pack_rows(rows, width) for _, rows in P]
+    packed_q = [_pack_rows(rows, width) for _, rows in Q]
+    accs = [[0] * max(precs[k] - ords[k], 0) for k in range(len(ords))]
+    for i, (oa, _) in enumerate(P):
+        for j, (ob, _) in enumerate(Q):
+            k = i + j
+            _mac_rows(accs[k], packed_p[i], packed_q[j], oa + ob - ords[k], precs[k] - ords[k])
+    slots = 2 * ctx.phi - 1
+    return [
+        [ctx.reduce(_unpack_digits(x, width, slots)) if x else None for x in acc]
+        for acc in accs
+    ]
 
-    Coordinates are split into nonnegative and negative parts so byte-level
-    digit extraction needs no borrow handling; lane layout is
-    (X-power, q-exponent, zeta-power) with 2*phi - 1 zeta slots per entry.
+
+@lru_cache(maxsize=None)
+def _decimal_context():
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
+    """The same vectors as _pair_mac, by Kronecker substitution in base 10^D.
+
+    A lane is one coefficient: 2 phi - 1 zeta-slots of D digits, 2 |slot| <
+    10^D, each written and read biased by h = 10^D / 2 into [0, 10^D).
+    Lanes run (X-power, q-exponent), `stride` q-lanes per X-power. Operands
+    over _DIGIT_CAP digits are cut into blocks of b q-lanes; the products
+    of blocks s and t start at q-offset (s + t) b, and are summed and
+    unpacked once per s + t while that offset is below every window's end.
     """
-    phis = 2 * phi - 1
-    nbytes = (width + 7) // 8
-    wbits = nbytes * 8
+    from decimal import Decimal
 
-    def frame(poly):
-        lo, hi = None, None
-        for (o, p, cs) in poly:
-            if cs:
-                lo = o if lo is None else min(lo, o)
-                hi = p if hi is None else max(hi, p)
-        return lo, hi
+    dctx = _decimal_context()
+    phi = ctx.phi
+    slots = 2 * phi - 1
+    digits = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^D > 2 bound
+    h = 5 * 10 ** (digits - 1)
+    h_str = str(Decimal(h))
+    zero_lane = h_str * slots
+    empty = h_str * (slots - phi)  # slots phi..2 phi - 2 of an operand lane
+    lane_w = slots * digits
+    int_ok = digits <= (sys.get_int_max_str_digits() or digits)
+    accs = [[None] * max(precs[k] - ords[k], 0) for k in range(len(ords))]
+    spans = [[(o, o + len(rows)) for o, rows in F if rows] for F in (P, Q)]
+    if not all(spans):
+        return accs
+    (lo_a, hi_a), (lo_b, hi_b) = [(min(sp)[0], max(e for _, e in sp)) for sp in spans]
+    top = max(precs)
+    hi_a, hi_b = min(hi_a, top - lo_b), min(hi_b, top - lo_a)  # drop what no window reads
+    if hi_a <= lo_a or hi_b <= lo_b:
+        return accs
+    ba, bb = hi_a - lo_a, hi_b - lo_b
+    per_lane = max(len(P), len(Q)) * lane_w
+    if (ba + bb - 1) * per_lane > _DIGIT_CAP:
+        ba = bb = max(1, (_DIGIT_CAP // per_lane + 1) // 2)
+    stride = ba + bb - 1
 
-    lo_a, hi_a = frame(P)
-    lo_b, hi_b = frame(Q)
-    out_len = len(P) + len(Q) - 1
-    if lo_a is None or lo_b is None:
-        return [
-            _norm_window(level, ords[k], precs[k], ())
-            for k in range(out_len)
-        ]
-    la = hi_a - lo_a
-    lb = hi_b - lo_b
-    lq = la + lb  # q-lanes in the output frame
-    base_out = lo_a + lo_b
+    def pack(v):
+        return str(Decimal(v + h)).zfill(digits)
 
-    def build(poly, rows, lo):
-        block = phis * nbytes
-        buf_pos = bytearray(len(poly) * lq * block)
-        buf_neg = bytearray(len(poly) * lq * block)
-        for i, (o, _, cs) in enumerate(poly):
-            lanes = rows[i]
-            for e_idx, row in enumerate(lanes):
-                lane = i * lq + (o - lo) + e_idx
-                off = lane * block
-                for z, v in enumerate(row):
-                    if v:
-                        pos = off + z * nbytes
-                        if v > 0:
-                            buf_pos[pos : pos + nbytes] = v.to_bytes(
-                                nbytes, "little"
-                            )
-                        else:
-                            buf_neg[pos : pos + nbytes] = (-v).to_bytes(
-                                nbytes, "little"
-                            )
-        return (
-            _mpz(int.from_bytes(buf_pos, "little")),
-            _mpz(int.from_bytes(buf_neg, "little")),
-        )
-
-    ap, an = build(P, rows_p, lo_a)
-    bp, bn = build(Q, rows_q, lo_b)
-    prod_pos = ap * bp + an * bn
-    prod_neg = ap * bn + an * bp
-    block = phis * nbytes
-    total = out_len * lq * block + block
-    bytes_pos = int(prod_pos).to_bytes(total, "little")
-    bytes_neg = int(prod_neg).to_bytes(total, "little")
-    rows_tab = get_context(level).power_rows
-    zero = CycNum.zero(level)
-    out = []
-    for k in range(out_len):
-        o_k, p_k = ords[k], precs[k]
-        coeffs = []
-        for e in range(o_k, p_k):
-            if e < base_out:
-                coeffs.append(zero)  # below both frames: identically zero
-                continue
-            lane = k * lq + (e - base_out)
-            off = lane * block
-            vec = [0] * phi
-            nonzero = False
-            for z in range(phis):
-                pos = off + z * nbytes
-                dv = int.from_bytes(bytes_pos[pos : pos + nbytes], "little") - int.from_bytes(
-                    bytes_neg[pos : pos + nbytes], "little"
-                )
-                if dv:
-                    nonzero = True
-                    if z < phi:
-                        vec[z] += dv
+    def blocks(F, lo, hi, size):
+        out = []
+        for start in range(lo, hi, size):
+            lanes = []  # ascending
+            for i, (o, rows) in enumerate(F):
+                if i:
+                    lanes.append(zero_lane * (stride - size))
+                for e in range(start, start + size):
+                    row = rows[e - o] if o <= e < min(o + len(rows), hi) else None
+                    if row is None or not any(row):
+                        lanes.append(zero_lane)
                     else:
-                        row = rows_tab[z]
-                        for j in range(phi):
-                            if row[j]:
-                                vec[j] += dv * row[j]
-            if nonzero:
-                coeffs.append(
-                    CycNum._make(level, tuple(Fraction(v, den) for v in vec))
+                        lanes.append(empty + "".join([pack(v) for v in reversed(row)]))
+            text = "".join(reversed(lanes))
+            out.append(dctx.subtract(Decimal(text), Decimal(h_str * (len(text) // digits))))
+        return out
+
+    blocks_p = blocks(P, lo_a, hi_a, ba)
+    blocks_q = blocks(Q, lo_b, hi_b, bb)
+    total = len(ords) * stride * lane_w
+    bias = Decimal(h_str * (total // digits))
+    for u in range(len(blocks_p) + len(blocks_q) - 1):
+        e0 = lo_a + lo_b + u * ba  # ba == bb whenever u > 0
+        if e0 >= top:
+            break
+        value = bias
+        for s in range(max(0, u - len(blocks_q) + 1), min(u + 1, len(blocks_p))):
+            value = dctx.add(value, dctx.multiply(blocks_p[s], blocks_q[u - s]))
+        text = str(value)
+        if len(text) > total or text[0] == "-":
+            raise ArithmeticError("packed-digit overflow: width chosen too small")
+        text = text.zfill(total)
+        for k, acc in enumerate(accs):
+            ok = ords[k]
+            for e in range(max(e0, ok), min(e0 + stride, precs[k])):
+                end = total - (k * stride + e - e0) * lane_w
+                lane = text[end - lane_w : end]
+                if lane == zero_lane:
+                    continue
+                cut = [lane[x - digits : x] for x in range(lane_w, 0, -digits)]
+                vec = ctx.reduce(
+                    [int(c) - h for c in cut] if int_ok else [int(Decimal(c)) - h for c in cut]
                 )
-            else:
-                coeffs.append(zero)
-        out.append(_norm_window(level, o_k, p_k, coeffs))
-    return out
+                cur = acc[e - ok]
+                acc[e - ok] = vec if cur is None else [x + y for x, y in zip(cur, vec)]
+    return accs
 
 
 def _mul_windows(level, a, b):

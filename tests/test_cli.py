@@ -119,3 +119,18 @@ def test_self_check_failure_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: self-check failed")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_packed_digit_overflow_exits_1(capsys, monkeypatch):
+    import genlambda.minpoly as mp
+
+    def overflow(*args, **kwargs):
+        raise ArithmeticError("packed-digit overflow: width chosen too small")
+
+    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(mp, "_MEMO", {})
+    monkeypatch.setattr(mp, "xpoly_mul_windows", overflow)
+    assert run(["minpoly", "build", "--level", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: packed-digit overflow")
+    assert "Traceback" not in captured.err and captured.out == ""

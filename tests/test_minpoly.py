@@ -47,6 +47,37 @@ def test_product_poly_shape():
     assert all(k % 3 == 0 for k, _ in coeffs[0].items())
 
 
+def _linear_factor_leaf(n, rep, leaf_prec, one_prec):
+    """prod_i (X - f(zeta^i q)) multiplied out factor by factor on dense
+    series, then compressed to the q^N grid."""
+    from genlambda.lam import lambda_series
+    from genlambda.minpoly import _compress
+    from genlambda.qseries import xpoly_mul_windows
+
+    f = lambda_series(rep.matrix, leaf_prec)
+    one = QSeries.one(n, one_prec)
+    poly = [(0, one_prec, one.coeffs)]
+    for i in range(n):
+        g = -f.twist(i)
+        poly = xpoly_mul_windows(n, poly, [(g.ord, g.prec, g.coeffs), (0, one_prec, one.coeffs)])
+    return [_compress(QSeries(n, o, cs, p)) for (o, p, cs) in poly]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_power_sum_leaves_match_linear_factors(n):
+    """The orbit leaves from power sums and Newton's identities equal the
+    product of the N linear factors, windows included, at every cusp."""
+    from genlambda.minpoly import _orbit_poly
+    from genlambda.modgroup import cusp_reps, nu_statistics
+
+    ell, _ = nu_statistics(n)
+    leaf_prec = n * (ell + 2) + n * ell + 2 * n
+    one_prec = leaf_prec + n * ell + n
+    for rep in cusp_reps(n):
+        got = _orbit_poly(n, rep.pair, "min", leaf_prec, one_prec)
+        assert got == _linear_factor_leaf(n, rep, leaf_prec, one_prec), rep.pair
+
+
 def test_reduce_to_j_examples():
     j = j_series(3, 12)
     assert reduce_to_j(j) == (CycNum.zero(3), CycNum.one(3))

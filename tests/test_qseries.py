@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlambda.cyclotomic import CycNum, get_context
@@ -208,3 +208,106 @@ def test_product_tree_limit_is_truncated_product(level):
         assert capped == [_truncate(w, limit) for w in full]
 
     inner()
+
+
+def _schoolbook(level, P, Q, limit=None):
+    """xpoly_mul_windows by the definition: the window rule, then every
+    coefficient as a plain sum of CycNum products."""
+    out = []
+    zero = CycNum.zero(level)
+    for k in range(len(P) + len(Q) - 1):
+        pairs = [(P[i], Q[k - i]) for i in range(len(P)) if 0 <= k - i < len(Q)]
+        o = min(a[0] + b[0] for a, b in pairs)
+        p = min(min(a[1] + b[0], b[1] + a[0]) for a, b in pairs)
+        if limit is not None:
+            p = min(p, limit)
+        coeffs = []
+        for e in range(o, p):
+            acc = zero
+            for (oa, _, ca), (ob, _, cb) in pairs:
+                for ia, x in enumerate(ca):
+                    ib = e - oa - ia - ob
+                    if 0 <= ib < len(cb):
+                        acc = acc + x * cb[ib]
+            coeffs.append(acc)
+        out.append(_strip((o, p, tuple(coeffs))))
+    return out
+
+
+def _strip(w):
+    o, p, cs = w
+    k = 0
+    while k < len(cs) and cs[k].is_zero():
+        k += 1
+    return (p, p, ()) if k == len(cs) else (o + k, p, tuple(cs[k:]))
+
+
+def _wide_window(level):
+    """Windows whose coordinates include values beyond 4,300 decimal digits,
+    which int() and format() refuse to convert as strings."""
+    phi = get_context(level).phi
+    huge = 10**4301
+    coord = st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.sampled_from([Fraction(huge + 3), Fraction(-huge, 7), Fraction(1, huge)]),
+    )
+    coeff = st.tuples(*[coord] * phi).map(lambda t: CycNum(level, t))
+    nonempty = st.builds(
+        lambda o, cs: _strip((o, o + len(cs), tuple(cs))),
+        st.integers(min_value=-5, max_value=4),
+        st.lists(coeff, min_size=1, max_size=5),
+    )
+    return st.one_of(nonempty, _window(level))
+
+
+@pytest.mark.parametrize("engine", ["pairs", "whole", "blocked"])
+@pytest.mark.parametrize("level", [3, 4, 5, 7, 8, 9, 12])
+def test_xpoly_mul_matches_schoolbook(level, engine, monkeypatch):
+    """Both engines, and the decimal engine in its one-product and q-blocked
+    layouts, against the definition."""
+    import genlambda.qseries as qs
+
+    monkeypatch.setattr(qs, "_PAIRS_PER_LANE", float("inf") if engine == "pairs" else 0)
+    wide = st.lists(st.one_of(_window(level), _wide_window(level)), min_size=1, max_size=3)
+    poly = st.lists(_window(level), min_size=1, max_size=3)
+    caps = st.sampled_from([1 << 60] if engine != "blocked" else [1, 60, 400, 5000])
+
+    @settings(max_examples=25)
+    @given(wide, poly, st.one_of(st.none(), st.integers(-8, 12)), caps)
+    def inner(p, q, limit, cap):
+        monkeypatch.setattr(qs, "_DIGIT_CAP", cap)
+        assert qs.xpoly_mul_windows(level, p, q, limit=limit) == _schoolbook(level, p, q, limit)
+
+    inner()
+
+
+def test_decimal_engine_blocks_large_products(monkeypatch):
+    """A product whose operands exceed the digit cap is split into q-blocks,
+    multiplying only the block pairs below the limit."""
+    import decimal
+
+    import genlambda.qseries as qs
+
+    products = []
+    real = qs._decimal_context()
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def multiply(self, a, b):
+            products.append((len(str(a)), len(str(b))))
+            return real.multiply(a, b)
+
+    monkeypatch.setattr(qs, "_decimal_context", lambda: Counting())
+    monkeypatch.setattr(qs, "_PAIRS_PER_LANE", 0)
+    monkeypatch.setattr(qs, "_DIGIT_CAP", 2000)
+    coeff = CycNum(5, (1, -2, 3, 4))
+    w = (0, 40, (coeff,) * 40)
+    got = qs.xpoly_mul_windows(5, [w, w], [w], limit=30)
+    assert got == _schoolbook(5, [w, w], [w], 30)
+    # 56 digits per q-lane make blocks of 18 lanes, two per operand; the
+    # pair of second blocks starts at q^36, past the limit
+    assert len(products) == 3
+    assert all(max(a, b) <= 2000 + 1 for a, b in products)  # digits, and a sign
+    assert (real.prec, real.Emax) == (decimal.MAX_PREC, decimal.MAX_EMAX)
