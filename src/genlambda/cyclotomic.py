@@ -105,7 +105,6 @@ def get_context(n: int) -> CycContext:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CycNum:
@@ -264,25 +263,19 @@ class CycNum:
         return result
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse, by extended gcd with Phi_N over Q."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates, divided by the norm (their product with self, a
+        rational)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K_N")
-        ctx = get_context(self.level)
-        # extended Euclid on (self as polynomial, Phi_N)
-        a = list(self.coords)
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in ctx.cyclo]
-        s_a: list[Fraction] = [_ONE]
-        s_b: list[Fraction] = []
-        while b:
-            q, r = _frac_poly_divmod(a, b)
-            a, b = b, r
-            s_a, s_b = s_b, _frac_poly_sub(s_a, _frac_poly_mul(q, s_b))
-        # a is now a nonzero constant gcd; s_a * self ≡ a (mod Phi)
-        c = a[0]
-        coords = [x / c for x in s_a] + [_ZERO] * (ctx.phi - len(s_a))
-        return CycNum(self.level, coords[: ctx.phi])
+        import math
+
+        n = self.level
+        rest = CycNum.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = rest * self.sigma(k)
+        return rest * (1 / (self * rest).coords[0])
 
     # -- Galois and embeddings ----------------------------------------------
 
@@ -324,14 +317,6 @@ class CycNum:
     def is_integral(self) -> bool:
         """True iff the element lies in Z[zeta] (power basis is integral)."""
         return all(c.denominator == 1 for c in self.coords)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coords[0]
 
     # -- plumbing -------------------------------------------------------------
 
@@ -391,44 +376,3 @@ class CycNum:
         coords = [Fraction(int(num), int(den)) for num, den in obj["coords"]]
         return CycNum(int(obj["N"]), coords)
 
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # a, b constant-first; b nonzero. Returns (q, r) with a = q*b + r.
-    r = list(a)
-    db = len(b) - 1
-    lead = b[db]
-    q = [_ZERO] * max(len(a) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[db + k]
-        if c:
-            f = c / lead
-            q[k] = f
-            for j in range(db + 1):
-                r[k + j] -= f * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else _ZERO
-        y = b[i] if i < len(b) else _ZERO
-        out.append(x - y)
-    while out and out[-1] == 0:
-        out.pop()
-    return out

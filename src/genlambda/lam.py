@@ -14,7 +14,7 @@ import math
 
 from .forms import e_series, leading_theta
 from .modgroup import SL2Mat
-from .qseries import QSeries, WindowError
+from .qseries import QSeries, WindowError, _from_rows, _invert_rows, _mul_rows, _to_rows
 
 
 def _pair_mod(q, n: int) -> tuple[int, int]:
@@ -33,6 +33,18 @@ def lambda_basis_series(q1, q2, n: int, prec: int) -> QSeries:
     The returned window ends exactly at `prec`; the E-expansions are padded
     internally so the division never eats into the requested window.
     """
+    den, w = _lambda_rows(q1, q2, n, prec)
+    ((o, p, coeffs),) = _from_rows(n, den, [w])
+    return QSeries(n, o, coeffs, p)
+
+
+def _lambda_rows(q1, q2, n: int, prec: int):
+    """L(tau; Q1, Q2) in the integer form (den, (ord, prec, rows)).
+
+    The ratio runs on integer rows: the inverse of the E-difference below
+    is taken only as far as the window ending at `prec` reads it, and the
+    product is capped at `prec` before its denominator is reduced.
+    """
     q1, q2 = _pair_mod(q1, n), _pair_mod(q2, n)
     if not is_basis(q1, q2, n):
         raise ValueError(f"{q1}, {q2} is not a basis of (Z/{n})^2")
@@ -42,16 +54,19 @@ def lambda_basis_series(q1, q2, n: int, prec: int) -> QSeries:
     den = e_series(q2[0], q2[1], n, pad) - e_series(q3[0], q3[1], n, pad)
     if num.is_zero() or den.is_zero():
         raise WindowError("insufficient precision for the E-ratio")
-    out = (num * den.inverse()).truncate(prec)
-    if out.prec <= out.ord and out.is_zero():
+    num = _to_rows([(num.ord, num.prec, num.coeffs)])
+    d, ((od, pd, rows),) = _to_rows([(den.ord, den.prec, den.coeffs)])
+    width = max(1, min(pd - od, prec - num[1][0][0] + od))  # inverse terms below q^prec
+    d_inv, inv = _invert_rows(n, d, rows, width)
+    d, (out,) = _mul_rows(n, num, (d_inv, [(-od, width - od, inv)]), limit=prec)
+    if not out[2]:
         raise WindowError("requested precision leaves an empty window")
-    return out
+    return d, out
 
 
 def lambda_series(m: SL2Mat, prec: int) -> QSeries:
     """Exact series of L∘A for A in SL2(Z); order equals nu(A)."""
-    n = m.level
-    return lambda_basis_series((m.a, m.b), (m.c, m.d), n, prec)
+    return lambda_basis_series((m.a, m.b), (m.c, m.d), m.level, prec)
 
 
 def lambda_k_series(k: int, n: int, prec: int) -> QSeries:

@@ -21,6 +21,12 @@ whose halves L and R have smallest total ords m_L and m_R (each <= 0)
 computes L to U - m_R and R to U - m_L, since a coefficient of L*R below
 q^U never reads more; each leaf is truncated to its limit. The tree's
 output is the uncapped product truncated at target_g, bit for bit.
+
+The build runs on the integer form of qseries from the lambda-series to
+the P_i, with the gcd step after every product and truncation; Newton's
+division by k multiplies den by k. j has rational-integer coefficients,
+so its powers are level-1 rows and the j-reduction subtracts a row times
+integers. CycNum is built once, for the (d+1)(ell+1) coefficients of P_i.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, get_context
 from .forms import j_series
-from .lam import lambda_leading, lambda_series
+from .lam import _lambda_rows, lambda_leading
 from .modgroup import cusp_reps, degree_dn, nu_pair, nu_statistics
 from .polyk import (
     deg,
@@ -45,12 +51,16 @@ from .polyk import (
 )
 from .qseries import (
     QSeries,
+    _common_den,
+    _from_rows,
     _int_rows,
+    _mac,
     _mac_rows,
-    _mul_windows,
-    _norm_window,
-    _pair_mac,
-    xpoly_mul_windows,
+    _mul_rows,
+    _reduced,
+    _rows_add,
+    _rows_norm,
+    _to_rows,
 )
 
 FORMAT_VERSION = 1
@@ -73,46 +83,13 @@ class SelfCheckError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# compressed q^N-grid series: plain tuples (ord, prec, coeffs) in grid units
+# compressed q^N-grid series: windows (ord, prec, rows) in grid units
 # ---------------------------------------------------------------------------
 
 
-def _c_add(level, a, b):
-    ao, ap, ac = a
-    bo, bp, bc = b
-    pg = min(ap, bp)
-    og = min(ao, bo, pg)
-    zero = CycNum.zero(level)
-    out = [zero] * (pg - og)
-    for (o, _, cs) in (a, b):
-        for idx, c in enumerate(cs, start=o):
-            if idx >= pg:
-                break
-            out[idx - og] = out[idx - og] + c
-    return _norm_window(level, og, pg, out)
-
-
-def _c_neg(a):
-    return (a[0], a[1], tuple(-c for c in a[2]))
-
-
-def _c_scale(level, a, c: CycNum):
-    if c.is_zero():
-        return (a[1], a[1], ())
-    return (a[0], a[1], tuple(c * x for x in a[2]))
-
-
-def _c_truncate(a, pg_new):
-    og, pg, cs = a
-    if pg_new >= pg:
-        return a
-    if pg_new <= og:
-        return (pg_new, pg_new, ())
-    return _norm_window(None, og, pg_new, cs[: pg_new - og])
-
-
 def _compress(s: QSeries):
-    """Dense series -> grid form; hard error on off-grid support."""
+    """Dense series -> grid window in the integer form (den, (ord, prec,
+    rows)); hard error on off-grid support."""
     n = s.level
     for k, c in s.items():
         if k % n != 0:
@@ -120,31 +97,21 @@ def _compress(s: QSeries):
                 f"nonzero coefficient at exponent {k} (level {n}); "
                 "expected support on multiples of N"
             )
-    pg = (s.prec - 1) // n + 1
-    if s.is_zero():
-        return (pg, pg, ())
-    og = s.ord // n
-    coeffs = []
-    for e in range(og, pg):
-        k = e * n
-        coeffs.append(s.coeff(k) if s.ord <= k < s.prec else CycNum.zero(n))
-    return _norm_window(n, og, pg, coeffs)
+    den, (w,) = _to_rows([(s.ord, s.prec, s.coeffs)])
+    den, (w,) = _grid_part(n, den, w)
+    return den, w
 
 
-def _decompress(level, a) -> QSeries:
-    og, pg, cs = a
+def _decompress(level, w):
+    """A grid window of integer rows spread out to dense exponents."""
+    og, pg, rows = w
     prec = (pg - 1) * level + 1
-    if not cs:
-        return QSeries.zero(level, prec)
-    ord_ = og * level
-    zero = CycNum.zero(level)
-    dense = []
-    for idx, c in enumerate(cs):
-        if idx:
-            dense.extend([zero] * (level - 1))
-        dense.append(c)
-    dense.extend([zero] * (prec - ord_ - len(dense)))
-    return QSeries(level, ord_, dense, prec)
+    if not rows:
+        return (prec, prec, [])
+    # the gaps share one zero row, as rows are never changed in place
+    dense = [[0] * len(rows[0])] * ((len(rows) - 1) * level + 1)
+    dense[::level] = rows
+    return (og * level, prec, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -152,38 +119,42 @@ def _decompress(level, a) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _grid_part(level, w):
-    """The q^N-grid part of a dense window (ord, prec, coeffs), in grid units."""
-    o, p, cs = w
+def _grid_part(level, den, w):
+    """The q^N-grid part of a dense integer window, in grid units."""
+    o, p, rows = w
     og = -(-o // level)
     pg = (p - 1) // level + 1
-    return _norm_window(level, og, pg, [cs[g * level - o] for g in range(og, pg)])
+    return _reduced(den, [_rows_norm(og, pg, [rows[g * level - o] for g in range(og, pg)])])
 
 
 def _orbit_poly(n: int, rep_pair, convention: str, leaf_prec: int, one_prec: int):
     """The leaf of the cusp with fixed matrix A, on the q^N grid (ascending
-    X), from power sums (see the module docstring). Its windows are those
-    of the product of linear factors: f^k has the dense window
-    [k nu, leaf_prec + (k-1) nu), and so has a_k on the grid, since the
-    other terms of its Newton sum reach as far; the leading 1 keeps
+    X, integer form), from power sums (see the module docstring). Its
+    windows are those of the product of linear factors: f^k has the dense
+    window [k nu, leaf_prec + (k-1) nu), and so has a_k on the grid, since
+    the other terms of its Newton sum reach as far; the leading 1 keeps
     `one_prec`."""
-    rep = next(r for r in cusp_reps(n, convention) if r.pair == tuple(rep_pair))
-    f = lambda_series(rep.matrix, leaf_prec)
-    f = (f.ord, f.prec, f.coeffs)
-    power = f
+    m = next(r for r in cusp_reps(n, convention) if r.pair == tuple(rep_pair)).matrix
+    phi = get_context(n).phi
+    den, w = _lambda_rows((m.a, m.b), (m.c, m.d), n, leaf_prec)
+    f = power = (den, [w])
     sums = [None]  # sums[m] = grid(f^m) = p_m / N
-    for m in range(1, n + 1):
-        if m > 1:
-            power = _mul_windows(n, power, f)
-        sums.append(_grid_part(n, power))
-    pg = (one_prec - 1) // n + 1
-    coeffs = [(0, pg, (CycNum.one(n),) + (CycNum.zero(n),) * (pg - 1))]  # a_k
     for k in range(1, n + 1):
-        acc = sums[k]
-        for i in range(1, k):
-            acc = _c_add(n, acc, _mul_windows(n, coeffs[k - i], sums[i]))
-        coeffs.append(_c_scale(n, acc, CycNum.from_rational(n, Fraction(-n, k))))
-    return coeffs[::-1]
+        if k > 1:
+            power = _mul_rows(n, power, f)
+        sums.append(_grid_part(n, power[0], power[1][0]))
+    pg = (one_prec - 1) // n + 1
+    one = [[1] + [0] * (phi - 1)] + [[0] * phi for _ in range(pg - 1)]
+    coeffs = [(1, [(0, pg, one)])]  # a_k
+    for k in range(1, n + 1):
+        terms = [sums[k]] + [_mul_rows(n, coeffs[k - i], sums[i]) for i in range(1, k)]
+        den, ws = _common_den(terms)
+        acc = ws[0]
+        for w in ws[1:]:
+            acc = _rows_add(acc, w, phi)
+        o, p, rows = acc  # a_k = -(N/k) acc
+        coeffs.append(_reduced(den * k, [(o, p, [[-n * x for x in row] for row in rows])]))
+    return _common_den(coeffs[::-1])
 
 
 def _orbit_worker(args):
@@ -194,7 +165,7 @@ def _min_ord(polys) -> int:
     """Sum over the leaves of each leaf's smallest coefficient ord: a lower
     bound for the ord of every coefficient of their product (<= 0, since
     each leaf's leading coefficient is 1)."""
-    return sum(min(c[0] for c in p) for p in polys)
+    return sum(min(w[0] for w in p[1]) for p in polys)
 
 
 def _tree_mul_compact(level, polys, limit: int):
@@ -205,12 +176,15 @@ def _tree_mul_compact(level, polys, limit: int):
     limit - min_ord(R), and R only below limit - min_ord(L), so each child
     is computed to that demand and nothing beyond it."""
     if len(polys) == 1:
-        return [_c_truncate(c, limit) for c in polys[0]]
+        den, ws = polys[0]
+        return _reduced(
+            den, [_rows_norm(o, min(p, limit), rows[: max(limit - o, 0)]) for o, p, rows in ws]
+        )
     mid = len(polys) // 2
     lo, hi = polys[:mid], polys[mid:]
     left = _tree_mul_compact(level, lo, limit - _min_ord(hi))
     right = _tree_mul_compact(level, hi, limit - _min_ord(lo))
-    return xpoly_mul_windows(level, left, right, limit=limit)
+    return _mul_rows(level, left, right, limit=limit)
 
 
 def _product_poly_compact(
@@ -218,8 +192,8 @@ def _product_poly_compact(
 ):
     """Compact coefficients of prod_{A in transversal} (X - lambda∘A).
 
-    Returns (coeffs ascending in X, meta) where meta carries d, ell, t and the
-    the resolved target/leaf precisions.
+    Returns ((den, coeffs ascending in X), meta) in the integer form, where
+    meta carries d, ell, t and the resolved target/leaf precisions.
     """
     if n < 3:
         raise ValueError("level must be >= 3")
@@ -254,17 +228,15 @@ def _product_poly_compact(
     if orbit_polys is None:
         orbit_polys = [_orbit_poly(*task) for task in tasks]
     target_g = (target - 1) // n + 1
-    coeffs = _tree_mul_compact(n, orbit_polys, target_g)
+    den, coeffs = _tree_mul_compact(n, orbit_polys, target_g)
     if len(coeffs) != d + 1:
         raise AssertionError("product degree mismatch")
-    out = []
     for c in coeffs:
         if c[1] < target_g:
             raise PrecisionError(
                 f"coefficient window reaches only {c[1]} grid terms; "
                 f"{target_g} required"
             )
-        out.append(_c_truncate(c, target_g))
     meta = {
         "d": d,
         "ell": ell,
@@ -273,7 +245,7 @@ def _product_poly_compact(
         "target_g": target_g,
         "leaf_prec": leaf_prec,
     }
-    return out, meta
+    return (den, coeffs), meta
 
 
 def product_poly(
@@ -281,8 +253,9 @@ def product_poly(
 ) -> list[QSeries]:
     """The d_N + 1 coefficient series of the transversal product, densely
     represented in q (index = power of X), each supported on the N-grid."""
-    coeffs, _ = _product_poly_compact(n, prec, convention, threads)
-    return [_decompress(n, c) for c in coeffs]
+    (den, coeffs), _ = _product_poly_compact(n, prec, convention, threads)
+    dense = _from_rows(n, den, [_decompress(n, w) for w in coeffs])
+    return [QSeries(n, o, cs, p) for o, p, cs in dense]
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +264,34 @@ def product_poly(
 
 
 def _j_powers_compact(n: int, dense_prec: int, max_pow: int):
-    j = _compress(j_series(n, dense_prec))
-    powers = [(0, j[1] + 1, (CycNum.one(n),) + (CycNum.zero(n),) * j[1])]  # j^0 = 1
-    cur = None
-    for m in range(1, max_pow + 1):
-        cur = j if m == 1 else _mul_windows(n, cur, j)
-        powers.append(cur)
-    return powers
+    """j^0, ..., j^max_pow on the q^N grid as windows of rational integers,
+    multiplied as level-1 rows (phi(1) = 1)."""
+    _, (o, p, rows) = _compress(j_series(n, dense_prec))  # denominator 1
+    j = (1, [(o, p, [row[:1] for row in rows])])
+    powers = [(1, [(0, p + 1, [[1]] + [[0]] * p)]), j]  # j^0 = 1
+    for _ in range(2, max_pow + 1):
+        powers.append(_mul_rows(1, powers[-1], j))
+    return [(o, p, [r[0] for r in rows]) for _, ((o, p, rows),) in powers]
 
 
 def _reduce_compact(n: int, c, j_powers, max_pow: int):
-    og, pg, cs = c
-    coeff_out: dict[int, CycNum] = {}
-    cur = c
+    """P with P(j) = c for a grid window c = (den, window) of rows: each
+    pole lead q^(-m) is cleared by subtracting the row lead times j^m."""
+    den, cur = c
+    phi = get_context(n).phi
+    coeff_out = {}
     while cur[2] and cur[0] < 0:
         m = -cur[0]
         if m > max_pow:
             raise ReductionError(
                 f"pole order {m} exceeds the expected bound {max_pow}"
             )
-        lead = cur[2][0]
-        coeff_out[m] = lead
-        cur = _c_add(n, cur, _c_neg(_c_scale(n, j_powers[m], lead)))
+        lead = coeff_out[m] = cur[2][0]
+        o, p, js = j_powers[m]
+        cur = _rows_add(cur, (o, p, [[-x * z for z in lead] for x in js]), phi)
     if cur[2] and cur[0] == 0:
         coeff_out[0] = cur[2][0]
-        zero = CycNum.zero(n)
-        const = (0, cur[1], (-cur[2][0],) + (zero,) * (cur[1] - 1))
-        cur = _c_add(n, cur, const)
+        cur = _rows_norm(0, cur[1], [[0] * phi] + cur[2][1:])
     if cur[2]:
         raise ReductionError(
             f"nonzero remainder of order {cur[0] * n} after j-reduction "
@@ -325,9 +299,10 @@ def _reduce_compact(n: int, c, j_powers, max_pow: int):
         )
     if not coeff_out:
         return ()
-    top = max(coeff_out)
-    zero = CycNum.zero(n)
-    return trim(tuple(coeff_out.get(m, zero) for m in range(top + 1)))
+    zero = [0] * phi
+    rows = [coeff_out.get(m, zero) for m in range(max(coeff_out) + 1)]
+    ((_, _, poly),) = _from_rows(n, den, [(0, 0, rows)])
+    return trim(poly)
 
 
 def reduce_to_j(f: QSeries):
@@ -343,11 +318,11 @@ def reduce_to_j(f: QSeries):
         raise PrecisionError(
             "window must reach at least N beyond the constant term"
         )
-    c = _compress(f)
+    den, c = _compress(f)
     max_pow = max(1, -min(c[0], 0))
     dense_prec = max(f.prec + n * (max_pow + 1), n * (max_pow + 2))
     j_powers = _j_powers_compact(n, dense_prec, max_pow)
-    return _reduce_compact(n, c, j_powers, max_pow)
+    return _reduce_compact(n, (den, c), j_powers, max_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +343,6 @@ class BivarPoly:
 
     def y_degree(self) -> int:
         return max((deg(p) for p in self.P), default=-1)
-
-    def p_poly(self, i: int) -> tuple[CycNum, ...]:
-        return self.P[i]
 
     def q_poly(self, m: int) -> tuple[CycNum, ...]:
         """Q_m(X): the coefficient of Y^(ell - m), ascending in X."""
@@ -409,9 +381,13 @@ class BivarPoly:
     def from_json_obj(obj: dict) -> "BivarPoly":
         n = int(obj["N"])
         entries = sorted(obj["P"], key=lambda e: int(e["i"]))
-        polys = tuple(
-            trim(tuple(CycNum.from_json_obj(c) for c in e["poly"])) for e in entries
-        )
+
+        def coeff(c):  # no context is built for a level other than N
+            if int(c["N"]) != n:
+                raise ValueError(f"coefficient of level {c['N']} in F of level {n}")
+            return CycNum.from_json_obj(c)
+
+        polys = tuple(trim(tuple(coeff(c) for c in e["poly"])) for e in entries)
         return BivarPoly(
             level=n,
             d=int(obj["dN"]),
@@ -420,31 +396,6 @@ class BivarPoly:
             prec=None,
             P=polys,
         )
-
-
-def _rows_norm(og, pg, rows):
-    """Strip leading zero rows from an integer window (ord, prec, rows)."""
-    k = 0
-    while k < len(rows) and not any(rows[k]):
-        k += 1
-    if k == len(rows):
-        return (pg, pg, [])
-    return (og + k, pg, rows[k:])
-
-
-def _rows_add(a, b, phi: int):
-    """Sum of two integer windows under QSeries.__add__'s window rule."""
-    pg = min(a[1], b[1])
-    og = min(a[0], b[0], pg)
-    out = [[0] * phi for _ in range(pg - og)]
-    for (o, _, rows) in (a, b):
-        for idx, row in enumerate(rows, start=o):
-            if idx >= pg:
-                break
-            acc = out[idx - og]
-            for z, x in enumerate(row):
-                acc[z] += x
-    return _rows_norm(og, pg, out)
 
 
 def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) -> bool:
@@ -472,8 +423,8 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     coordinates and L that of the lambda-series, the Horner steps
     W <- W * (L lambda) + L^i D P_i(j) give L^i D times the partial sums,
     since j has rational-integer q-coefficients. Each coefficient is a row
-    of phi ints, packed per step for the shared pair loop and reduced mod
-    Phi_N after it.
+    of phi ints; each step's product runs through qseries._mac, under the
+    size rule and the width rule of qseries.
     """
     from .modgroup import SL2Mat
 
@@ -487,10 +438,7 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     ctx = get_context(n)
     phi = ctx.phi
     zero = [0] * phi
-    jp = [
-        (o, p, [c.coords[0].numerator for c in cs])
-        for (o, p, cs) in _j_powers_compact(n, prec, ell)
-    ]
+    jp = _j_powers_compact(n, prec, ell)
     _, p_rows, _, _ = _int_rows(F.P)
     p_series = []
     for poly in p_rows:
@@ -501,19 +449,9 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
             o, p, js = jp[m]
             term = (o, p, [[x * cz for cz in c] for x in js])
             acc = term if acc is None else _rows_add(acc, term, phi)
-        if acc is not None:  # spread the q^N grid out to dense exponents
-            og, pg, rows = acc
-            dense = []
-            for row in rows:
-                dense += [zero] * (n - 1) if dense else []
-                dense.append(row)
-            prec_d = (pg - 1) * n + 1
-            acc = (og * n, prec_d, dense) if rows else (prec_d, prec_d, [])
-        p_series.append(acc)
+        p_series.append(None if acc is None else _decompress(n, acc))
     for mat in matrices:
-        lam = lambda_series(mat, prec)
-        ol, pl = lam.ord, lam.prec
-        den_l, (lam_rows,), max_l, _ = _int_rows([lam.coeffs])
+        den_l, (ol, pl, lam_rows) = _lambda_rows((mat.a, mat.b), (mat.c, mat.d), n, prec)
         top = None  # the window rule alone: an upper bound on the final prec
         for ps in p_series:
             if top is not None:
@@ -526,9 +464,7 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
             if v is not None:
                 ov, pv, rows = v
                 o, pr = ov + ol, min(pv + ol, pl + ov, top - (F.d - i) * ol)
-                max_v = max((abs(x) for row in rows for x in row), default=1)
-                bound = max_v * max_l * len(lam_rows) * phi
-                (acc,) = _pair_mac([(ov, rows)], [(ol, lam_rows)], [o], [pr], bound, ctx)
+                (acc,) = _mac([(ov, rows)], [(ol, lam_rows)], [o], [pr], ctx)
                 v = _rows_norm(o, pr, [zero if x is None else x for x in acc])
             ps = p_series[i]
             if ps is not None:
@@ -577,12 +513,12 @@ def build_F(
         if loaded is not None:
             _MEMO[key] = loaded
             return loaded
-    coeffs, meta = _product_poly_compact(n, target, convention, threads)
+    (den, coeffs), meta = _product_poly_compact(n, target, convention, threads)
     d = meta["d"]
     jp = _j_powers_compact(n, meta["leaf_prec"], ell)
     polys = []
     for i in range(d + 1):
-        polys.append(_reduce_compact(n, coeffs[d - i], jp, ell))
+        polys.append(_reduce_compact(n, (den, coeffs[d - i]), jp, ell))
     F = BivarPoly(level=n, d=d, ell=ell, t=t, prec=target, P=tuple(polys))
     if self_check and not check_root_identity(F):
         raise SelfCheckError(f"self-check failed for level {n}: F(lambda, j) != 0")
@@ -612,16 +548,19 @@ def _store_cached(path: str, F: BivarPoly) -> None:
 
 def _load_cached(path: str, n: int, target: int) -> BivarPoly | None:
     """The cached F for level n, or None if the file is missing, malformed,
-    has the wrong shape (N, d_N, ell_N, t_N or the number of P_i) or fails
-    the root identity. Any other exception propagates."""
+    has the wrong shape (N, d_N, ell_N, t_N, the number of P_i or a P_i of
+    degree above ell_N) or fails the root identity. Any other exception
+    propagates."""
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            # exact numbers; NaN and Infinity raise ValueError
+            obj = json.load(fh, parse_float=Fraction, parse_constant=Fraction)
         F = BivarPoly.from_json_obj(obj)
         d = degree_dn(n)
-        if (F.level, F.d, (F.ell, F.t), len(F.P)) != (n, d, nu_statistics(n), d + 1):
+        shape = (F.level, F.d, (F.ell, F.t), len(F.P))
+        if shape != (n, d, nu_statistics(n), d + 1) or F.y_degree() > F.ell:
             return None
         F = BivarPoly(
             level=F.level, d=F.d, ell=F.ell, t=F.t, prec=target, P=F.P

@@ -31,11 +31,6 @@ class SL2Mat:
         if self.level < 1:
             raise ValueError("level must be >= 1")
 
-    @property
-    def residue(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        n = self.level
-        return ((self.a % n, self.b % n), (self.c % n, self.d % n))
-
     def __mul__(self, other: "SL2Mat") -> "SL2Mat":
         if not isinstance(other, SL2Mat):
             return NotImplemented

@@ -5,30 +5,46 @@ coefficient, and an exclusive precision bound `prec`: every coefficient of
 q^k with ord <= k < prec is stored exactly. Precision is propagated through
 arithmetic and never silently extended.
 
-Products run on integers: coefficients go over a common denominator, so
-each is a row of phi(N) coordinates, and a product of two rows has
-2 phi - 1 zeta-slots, reduced mod Phi_N afterwards. Two engines form the
-same sums. The pair loop packs each row into one int (slots in base 2^B)
-and multiplies every pair of coefficients that lands in an output window;
-its cost grows with the pairs. The decimal engine is a Kronecker
-substitution in base 10^D through `decimal` (libmpdec, whose
-number-theoretic transform multiplies n digits in O(n log n)); its cost
-grows with the output, a string slice and an int per zeta-slot.
+Products run on one integer form: an X-polynomial with series
+coefficients is (den, windows), one least common denominator and, per
+X-power, a window (ord, prec, rows) with a row of phi(N) power-basis
+coordinates times den per coefficient. After each product _mul_rows
+divides den and every int by their gcd (the gcd step), which gives the
+ints of Fraction arithmetic over one common denominator. CycNum
+coefficients are built only at the API boundary. Rows are shared between
+windows and never changed in place.
+
+A product of two rows has 2 phi - 1 zeta-slots, reduced mod Phi_N
+afterwards. The pair loop packs each row into one int (slots in base 2^B)
+and multiplies every pair of coefficients that lands in an output window.
+The decimal engine is a Kronecker substitution in base 10^D through
+`decimal` (libmpdec multiplies n digits in O(n log n) by a number-theoretic
+transform); its cost grows with the output.
 
 Size rule: the decimal engine runs from _PAIRS_PER_LANE = 150 operand
-pairs (the product of the operands' nonzero coefficient counts) per output
-coefficient. Timing both engines on every product of a cold build_F(7)
-(2-vCPU x86-64, Python 3.11), the pair loop took 0.4-0.7 of the decimal
-engine's time from 1 to 128 pairs per output coefficient (series
-inverses, the Newton sums of the orbit leaves, low tree nodes), and the
-decimal engine 0.3-0.85 of the pair loop's from 165 up (the dense powers
-f^m, upper tree nodes).
+pairs (the product of the operands' nonzero coefficient counts, before
+the width rule drops lanes) per output coefficient. Timing both engines
+on every product of a cold build_F(7) (2-vCPU x86-64, Python 3.11), the
+pair loop took 0.4-0.7 of the decimal engine's time from 1 to 128 pairs
+per output coefficient, and the decimal engine 0.3-0.85 of the pair
+loop's from 165 up.
 
-Digit cap: a Decimal product takes scratch space in proportion to its
-operands, so an operand over _DIGIT_CAP = 2^18 digits is cut into blocks
-of q-lanes. The tree of a cold build_F(7) took 4.4 s at a peak RSS of
-29 MiB, against 6.2 s and 29 MiB at 2^17, 4.5 s and 34 MiB at 2^19, and
-3.8 s and 65 MiB uncapped.
+Width rule: a product slot sums at most `count` products of two
+coordinates. Operand q-lanes whose every product lands at or beyond the
+largest window end are dropped; a kept lane's peak is its largest
+|coordinate| over all X-powers. The slot bound is `count` times the
+largest product of two peaks over the lane pairs an engine multiplies:
+those landing below the largest window end for the pair loop, all kept
+pairs in one Decimal product, and in the blocked layout the block pairs
+whose q-offset lies below that end. Coefficients grow along q, so at the
+root of the N = 7 product tree D falls from 135 to 98 digits.
+
+Digit cap: an operand over _DIGIT_CAP = 2^18 digits is cut into blocks of
+b q-lanes, since a Decimal product takes scratch space in proportion to
+its operands; b is chosen from the width of all kept pairs, and D then
+from the block pairs. With one width for all lanes, the tree of a cold
+build_F(7) took 4.4 s at a peak RSS of 29 MiB, against 6.2 s and 29 MiB
+at 2^17, 4.5 s and 34 MiB at 2^19, and 3.8 s and 65 MiB uncapped.
 """
 
 from __future__ import annotations
@@ -180,10 +196,10 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             self._check_level(other)
-            ord_, prec, coeffs = _mul_windows(
+            ((ord_, prec, coeffs),) = xpoly_mul_windows(
                 self.level,
-                (self.ord, self.prec, self.coeffs),
-                (other.ord, other.prec, other.coeffs),
+                [(self.ord, self.prec, self.coeffs)],
+                [(other.ord, other.prec, other.coeffs)],
             )
             return QSeries(self.level, ord_, coeffs, prec)
         if isinstance(other, (int, Fraction, CycNum)):
@@ -216,9 +232,6 @@ class QSeries:
             self.level, self.ord, tuple(c.sigma(ell) for c in self.coeffs), self.prec
         )
 
-    def conj_coeffs(self) -> "QSeries":
-        return self.sigma(self.level - 1)
-
     def truncate(self, prec: int) -> "QSeries":
         """Restrict the window to exponents < prec."""
         if prec >= self.prec:
@@ -236,12 +249,9 @@ class QSeries:
             raise WindowError("cannot invert a series that vanishes on its window")
         n = self.level
         o = self.ord
-        width = self.prec - self.ord
-        c0 = self.coeffs[0]
-        c0_inv = c0.inv()
-        unit = [c0_inv * x for x in self.coeffs]  # 1 + g, length = width
-        inv_unit = _invert_unit(n, unit, width)
-        coeffs = [c0_inv * x for x in inv_unit]
+        den, (rows,), _, _ = _int_rows([self.coeffs])
+        d_inv, inv = _invert_rows(n, den, rows, self.prec - o)
+        ((_, _, coeffs),) = _from_rows(n, d_inv, [(0, 0, inv)])
         return QSeries(n, -o, coeffs, self.prec - 2 * o)
 
     def __pow__(self, k: int):
@@ -446,13 +456,72 @@ def _mac_rows(acc, xs, ys, base: int, limit: int):
                     acc[off + jb] += x * y
 
 
-def _norm_window(level, ord_, prec, coeffs):
-    k = 0
-    while k < len(coeffs) and coeffs[k].is_zero():
-        k += 1
-    if k == len(coeffs):
-        return (prec, prec, ())
-    return (ord_ + k, prec, tuple(coeffs[k:]))
+# ---------------------------------------------------------------------------
+# the integer form: (den, windows (ord, prec, rows of phi ints))
+# ---------------------------------------------------------------------------
+
+
+def _rows_norm(og, pg, rows):
+    """Strip leading zero rows from an integer window (ord, prec, rows)."""
+    k = next((k for k, row in enumerate(rows) if any(row)), len(rows))
+    return (pg, pg, []) if k == len(rows) else (og + k, pg, rows[k:])
+
+
+def _rows_add(a, b, phi: int):
+    """Sum of two integer windows under QSeries.__add__'s window rule."""
+    pg = min(a[1], b[1])
+    og = min(a[0], b[0], pg)
+    out = [[0] * phi for _ in range(pg - og)]
+    for (o, _, rows) in (a, b):
+        for idx, row in enumerate(rows, start=o):
+            if idx >= pg:
+                break
+            acc = out[idx - og]
+            for z, x in enumerate(row):
+                acc[z] += x
+    return _rows_norm(og, pg, out)
+
+
+def _reduced(den: int, windows):
+    """The gcd step: divide den and every int of the windows by their gcd,
+    so den is the least common denominator of the coefficients."""
+    g = den
+    for _, _, rows in windows:
+        for row in rows:
+            g = math.gcd(g, *row)
+            if g == 1:
+                return den, windows
+    return den // g, [(o, p, [[x // g for x in row] for row in rows]) for o, p, rows in windows]
+
+
+def _common_den(polys):
+    """One X-polynomial in the integer form from single windows (den, [w]):
+    the windows over the least common multiple of their denominators."""
+    den = math.lcm(*(d for d, _ in polys))
+    out = []
+    for d, (w,) in polys:
+        s = den // d
+        out.append(w if s == 1 else (w[0], w[1], [[x * s for x in row] for row in w[2]]))
+    return den, out
+
+
+def _to_rows(P):
+    """The integer form (den, windows) of an X-polynomial of CycNum windows."""
+    den, rows, _, _ = _int_rows([cs for (_, _, cs) in P])
+    return den, [(o, p, r) for (o, p, _), r in zip(P, rows)]
+
+
+def _cyc(level: int, den: int, row) -> CycNum:
+    return CycNum._make(level, tuple(Fraction(v, den) for v in row))
+
+
+def _from_rows(level: int, den: int, windows):
+    """The CycNum windows of an X-polynomial in the integer form."""
+    zero = CycNum.zero(level)
+    return [
+        (o, p, tuple(_cyc(level, den, row) if any(row) else zero for row in rows))
+        for o, p, rows in windows
+    ]
 
 
 def xpoly_mul_windows(level, P, Q, *, limit=None):
@@ -461,46 +530,79 @@ def xpoly_mul_windows(level, P, Q, *, limit=None):
     P and Q are lists of (ord, prec, coeffs-of-CycNum) indexed by X-power;
     the return value has length len(P) + len(Q) - 1 in the same shape, with
     leading zero coefficients stripped per window. With `limit`, every
-    output window ends at or before it: the result is the uncapped product
-    truncated at `limit`. The size rule picks the pair loop or the decimal
-    engine (see the module docstring); results are identical either way.
-    """
+    output window ends at or before it: the uncapped product truncated
+    there. A wrapper of _mul_rows."""
+    den, out = _mul_rows(level, _to_rows(P), _to_rows(Q), limit=limit)
+    return _from_rows(level, den, out)
+
+
+def _mul_rows(level, P, Q, *, limit=None):
+    """Product of two X-polynomials in the integer form, reduced by the gcd
+    step. Window rule and `limit` as in xpoly_mul_windows; rows missing at
+    the end of a window are 0."""
+    (da, P), (db, Q) = P, Q
     lenp, lenq = len(P), len(Q)
-    out_len = lenp + lenq - 1
     terms = [[(P[i], Q[k - i]) for i in range(max(0, k - lenq + 1), min(k, lenp - 1) + 1)]
-          for k in range(out_len)]
+             for k in range(lenp + lenq - 1)]
     ords = [min(a[0] + b[0] for a, b in ab) for ab in terms]
     precs = [min(min(a[1] + b[0], b[1] + a[0]) for a, b in ab) for ab in terms]
     if limit is not None:
         precs = [min(pr, limit) for pr in precs]
     ctx = get_context(level)
-    da, rows_p, ma, la = _int_rows([cs for (_, _, cs) in P])
-    db, rows_q, mb, lb = _int_rows([cs for (_, _, cs) in Q])
-    bound = ma * mb * min(lenp, lenq) * min(la, lb) * ctx.phi  # |any product slot|
-    P = [(o, rows) for (o, _, _), rows in zip(P, rows_p)]
-    Q = [(o, rows) for (o, _, _), rows in zip(Q, rows_q)]
+    accs = _mac([(o, r) for o, _, r in P], [(o, r) for o, _, r in Q], ords, precs, ctx)
+    zero = [0] * ctx.phi
+    out = [
+        _rows_norm(o, p, [zero if v is None else v for v in acc])
+        for o, p, acc in zip(ords, precs, accs)
+    ]
+    return _reduced(da * db, out)
+
+
+def _mac(P, Q, ords, precs, ctx):
+    """The product of P and Q, which list (ord, integer rows) by X-power:
+    per output X-power k, the power-basis vector of each coefficient of its
+    window [ords[k], precs[k]) (None for 0), under the size and width rules
+    (module docstring)."""
+    accs = [[None] * max(p - o, 0) for o, p in zip(ords, precs)]
+    spans = [[(o, o + len(rows)) for o, rows in F if rows] for F in (P, Q)]
+    if not all(spans):
+        return accs
+    (lo_a, hi_a), (lo_b, hi_b) = [(min(sp)[0], max(e for _, e in sp)) for sp in spans]
+    top = max(precs)
+    hi_a, hi_b = min(hi_a, top - lo_b), min(hi_b, top - lo_a)
+    if hi_a <= lo_a or hi_b <= lo_b:
+        return accs
+    # the size rule counts the operands' nonzero rows before the trim
     nz_p, nz_q = [sum(any(row) for _, rows in F for row in rows) for F in (P, Q)]
+    P = [(o, rows[: max(hi_a - o, 0)]) for o, rows in P]
+    Q = [(o, rows[: max(hi_b - o, 0)]) for o, rows in Q]
+    peaks_a, peaks_b = _lane_peaks(P, lo_a, hi_a), _lane_peaks(Q, lo_b, hi_b)
+    longest = min(max(len(rows) for _, rows in F) for F in (P, Q))
+    count = min(len(P), len(Q)) * longest * ctx.phi  # terms in one product slot
     lanes = sum(max(p - o, 0) for o, p in zip(ords, precs))
-    mac = _decimal_mac if nz_p * nz_q >= _PAIRS_PER_LANE * lanes else _pair_mac
-    accs = mac(P, Q, ords, precs, bound, ctx)
-    den = da * db
-    zero = CycNum.zero(level)
-    out = []
-    for k in range(out_len):
-        coeffs = [
-            zero if vec is None else CycNum._make(level, tuple(Fraction(v, den) for v in vec))
-            for vec in accs[k]
-        ]
-        accs[k] = None
-        out.append(_norm_window(level, ords[k], precs[k], coeffs))
-    return out
+    if nz_p * nz_q >= _PAIRS_PER_LANE * lanes:
+        return _decimal_mac(P, Q, ords, precs, (lo_a, peaks_a), (lo_b, peaks_b), count, ctx)
+    from itertools import accumulate
+
+    reach = list(accumulate(peaks_b, max))  # the pair loop's lane pairs land below top
+    last = len(reach) - 1
+    peak = max(x * reach[min(top - e - 1 - lo_b, last)] for e, x in enumerate(peaks_a, lo_a))
+    return _pair_mac(P, Q, ords, precs, peak * count, ctx)
+
+
+def _lane_peaks(F, lo: int, hi: int):
+    """The largest |coordinate| of each q-lane lo..hi-1, over every X-power,
+    and at least 1, so that a bound on products also bounds each factor."""
+    peaks = [1] * (hi - lo)
+    for o, rows in F:
+        for e, row in enumerate(rows, o - lo):
+            peaks[e] = max(peaks[e], max(row), -min(row))
+    return peaks
 
 
 def _pair_mac(P, Q, ords, precs, bound: int, ctx):
-    """P and Q list (ord, integer rows) by X-power, and every product slot
-    is below `bound` in absolute value. Returns, per output X-power, the
-    power-basis integer vector of each coefficient of its window [ords[k],
-    precs[k]) (None for 0), from the integer pair loop."""
+    """_mac by the integer pair loop; every product slot is below `bound` in
+    absolute value."""
     width = _digit_width(bound, 1, 1)
     packed_p = [_pack_rows(rows, width) for _, rows in P]
     packed_q = [_pack_rows(rows, width) for _, rows in Q]
@@ -523,10 +625,11 @@ def _decimal_context():
     return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
-def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
-    """The same vectors as _pair_mac, by Kronecker substitution in base 10^D.
+def _decimal_mac(P, Q, ords, precs, lanes_a, lanes_b, count: int, ctx):
+    """_mac by Kronecker substitution in base 10^D.
 
-    A lane is one coefficient: 2 phi - 1 zeta-slots of D digits, 2 |slot| <
+    lanes_a and lanes_b give each operand's first q-lane and lane peaks. A
+    lane is one coefficient: 2 phi - 1 zeta-slots of D digits, 2 |slot| <
     10^D, each written and read biased by h = 10^D / 2 into [0, 10^D).
     Lanes run (X-power, q-exponent), `stride` q-lanes per X-power. Operands
     over _DIGIT_CAP digits are cut into blocks of b q-lanes; the products
@@ -538,7 +641,16 @@ def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
     dctx = _decimal_context()
     phi = ctx.phi
     slots = 2 * phi - 1
-    digits = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^D > 2 bound
+    (lo_a, peaks_a), (lo_b, peaks_b) = lanes_a, lanes_b
+    top = max(precs)
+    ba, bb = len(peaks_a), len(peaks_b)
+    bound = max(peaks_a) * max(peaks_b) * count
+    lane_x = max(len(P), len(Q)) * slots  # digits per D of one q-lane, all X-powers
+    if (ba + bb - 1) * lane_x * _decimal_digits(bound) > _DIGIT_CAP:
+        ba = max(1, (_DIGIT_CAP // (lane_x * _decimal_digits(bound)) + 1) // 2)
+        bound = _block_bound(peaks_a, peaks_b, lo_a + lo_b, top, ba) * count
+        bb = ba
+    digits = _decimal_digits(bound)
     h = 5 * 10 ** (digits - 1)
     h_str = str(Decimal(h))
     zero_lane = h_str * slots
@@ -546,18 +658,6 @@ def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
     lane_w = slots * digits
     int_ok = digits <= (sys.get_int_max_str_digits() or digits)
     accs = [[None] * max(precs[k] - ords[k], 0) for k in range(len(ords))]
-    spans = [[(o, o + len(rows)) for o, rows in F if rows] for F in (P, Q)]
-    if not all(spans):
-        return accs
-    (lo_a, hi_a), (lo_b, hi_b) = [(min(sp)[0], max(e for _, e in sp)) for sp in spans]
-    top = max(precs)
-    hi_a, hi_b = min(hi_a, top - lo_b), min(hi_b, top - lo_a)  # drop what no window reads
-    if hi_a <= lo_a or hi_b <= lo_b:
-        return accs
-    ba, bb = hi_a - lo_a, hi_b - lo_b
-    per_lane = max(len(P), len(Q)) * lane_w
-    if (ba + bb - 1) * per_lane > _DIGIT_CAP:
-        ba = bb = max(1, (_DIGIT_CAP // per_lane + 1) // 2)
     stride = ba + bb - 1
 
     def pack(v):
@@ -571,7 +671,7 @@ def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
                 if i:
                     lanes.append(zero_lane * (stride - size))
                 for e in range(start, start + size):
-                    row = rows[e - o] if o <= e < min(o + len(rows), hi) else None
+                    row = rows[e - o] if o <= e < o + len(rows) else None
                     if row is None or not any(row):
                         lanes.append(zero_lane)
                     else:
@@ -580,8 +680,8 @@ def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
             out.append(dctx.subtract(Decimal(text), Decimal(h_str * (len(text) // digits))))
         return out
 
-    blocks_p = blocks(P, lo_a, hi_a, ba)
-    blocks_q = blocks(Q, lo_b, hi_b, bb)
+    blocks_p = blocks(P, lo_a, lo_a + len(peaks_a), ba)
+    blocks_q = blocks(Q, lo_b, lo_b + len(peaks_b), bb)
     total = len(ords) * stride * lane_w
     bias = Decimal(h_str * (total // digits))
     for u in range(len(blocks_p) + len(blocks_q) - 1):
@@ -611,28 +711,35 @@ def _decimal_mac(P, Q, ords, precs, bound: int, ctx):
     return accs
 
 
-def _mul_windows(level, a, b):
-    """Multiply two coefficient windows (ord, prec, coeffs of CycNum).
+def _block_bound(peaks_a, peaks_b, e0: int, top: int, b: int) -> int:
+    """The largest product of two lane peaks over the pairs of b-lane blocks
+    (s, t) that the blocked layout multiplies, those with e0 + (s + t) b <
+    top."""
+    ma = [max(peaks_a[s : s + b]) for s in range(0, len(peaks_a), b)]
+    mb = [max(peaks_b[t : t + b]) for t in range(0, len(peaks_b), b)]
+    return max(x * y for s, x in enumerate(ma) for t, y in enumerate(mb) if e0 + (s + t) * b < top)
 
-    Returns (ord, prec, coeffs) with prec = min(a.prec + b.ord, b.prec + a.ord).
-    The exponent unit is abstract: the same routine serves dense q-series and
-    q^N-grid compressed series.
-    """
-    return xpoly_mul_windows(level, [a], [b])[0]
+
+def _decimal_digits(bound: int) -> int:
+    """Decimal digits D with 10^D > 2 bound."""
+    return (2 * bound).bit_length() * 30103 // 100000 + 1
 
 
-def _invert_unit(level, unit, width: int):
-    """Invert a series with constant term 1 to `width` terms, by Newton iteration."""
-    one = CycNum.one(level)
-    inv = [one]
+def _invert_rows(level: int, den: int, rows, width: int):
+    """The first `width` coefficients of 1/s for s = sum_k rows[k]/den q^k
+    (rows[0] != 0), in the integer form (den', rows'), by Newton's iteration
+    inv <- inv (2 - s inv) from inv = 1/rows[0], each product capped at the
+    precision it doubles to."""
+    c0 = _cyc(level, den, rows[0]).inv()
+    d_inv, ((_, _, inv),) = _to_rows([(0, 1, (c0,))])
+    s = (den, [(0, width, rows[:width])])
     known = 1
     while known < width:
         target = min(2 * known, width)
-        # r = unit * inv truncated to `target`; then inv <- inv*(2 - r)
-        _, _, r = _mul_windows(level, (0, target, tuple(unit[:target])), (0, target, tuple(inv)))
-        r = list(r) + [CycNum.zero(level)] * (target - len(r))
-        two_minus_r = [(2 - r[0])] + [-c for c in r[1:target]]
-        _, _, nxt = _mul_windows(level, (0, target, tuple(inv)), (0, target, tuple(two_minus_r)))
-        inv = list(nxt) + [CycNum.zero(level)] * (target - len(nxt))
+        cur = (d_inv, [(0, target, inv)])
+        d_r, ((_, _, r),) = _mul_rows(level, s, cur, limit=target)
+        two = [[-x for x in row] for row in r]  # 2 - s inv; s inv = 1 + O(q^known)
+        two[0][0] += 2 * d_r
+        d_inv, ((_, _, inv),) = _mul_rows(level, cur, (d_r, [(0, target, two)]))
         known = target
-    return inv[:width]
+    return d_inv, inv

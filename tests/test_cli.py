@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from genlambda.cli import run
 
 
@@ -129,8 +131,35 @@ def test_packed_digit_overflow_exits_1(capsys, monkeypatch):
 
     monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
     monkeypatch.setattr(mp, "_MEMO", {})
-    monkeypatch.setattr(mp, "xpoly_mul_windows", overflow)
+    monkeypatch.setattr(mp, "_mul_rows", overflow)
     assert run(["minpoly", "build", "--level", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: packed-digit overflow")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("error", ["ReductionError", "PrecisionError", "GridSupportError"])
+def test_unverifiable_build_exits_1(error, capsys, monkeypatch):
+    import genlambda.minpoly as mp
+
+    def fail(*args, **kwargs):
+        raise getattr(mp, error)("nonzero remainder after j-reduction")
+
+    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(mp, "_MEMO", {})
+    monkeypatch.setattr(mp, "_reduce_compact", fail)
+    assert run(["minpoly", "build", "--level", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: nonzero remainder after j-reduction\n"
+    assert captured.out == ""
+
+
+def test_prec_below_minimum_exits_2(capsys, monkeypatch):
+    import genlambda.minpoly as mp
+
+    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
+    monkeypatch.setattr(mp, "_MEMO", {})
+    assert run(["minpoly", "build", "--level", "3", "--prec", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: precision 5 below the minimum")
+    assert captured.out == ""

@@ -47,6 +47,17 @@ def test_product_poly_shape():
     assert all(k % 3 == 0 for k, _ in coeffs[0].items())
 
 
+def _as_cyc(level, poly):
+    """The CycNum windows of an X-polynomial in the integer form (den,
+    windows of coordinate rows), or of one window (den, window)."""
+    den, windows = poly
+    windows = [windows] if isinstance(windows, tuple) else windows
+    return [
+        (o, p, tuple(CycNum(level, [Fraction(x, den) for x in row]) for row in rows))
+        for o, p, rows in windows
+    ]
+
+
 def _linear_factor_leaf(n, rep, leaf_prec, one_prec):
     """prod_i (X - f(zeta^i q)) multiplied out factor by factor on dense
     series, then compressed to the q^N grid."""
@@ -60,7 +71,7 @@ def _linear_factor_leaf(n, rep, leaf_prec, one_prec):
     for i in range(n):
         g = -f.twist(i)
         poly = xpoly_mul_windows(n, poly, [(g.ord, g.prec, g.coeffs), (0, one_prec, one.coeffs)])
-    return [_compress(QSeries(n, o, cs, p)) for (o, p, cs) in poly]
+    return [_as_cyc(n, _compress(QSeries(n, o, cs, p)))[0] for (o, p, cs) in poly]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
@@ -74,7 +85,7 @@ def test_power_sum_leaves_match_linear_factors(n):
     leaf_prec = n * (ell + 2) + n * ell + 2 * n
     one_prec = leaf_prec + n * ell + n
     for rep in cusp_reps(n):
-        got = _orbit_poly(n, rep.pair, "min", leaf_prec, one_prec)
+        got = _as_cyc(n, _orbit_poly(n, rep.pair, "min", leaf_prec, one_prec))
         assert got == _linear_factor_leaf(n, rep, leaf_prec, one_prec), rep.pair
 
 
@@ -427,3 +438,67 @@ def test_self_check_failure_is_named(monkeypatch):
     with pytest.raises(mp.SelfCheckError, match="self-check failed"):
         build_F(3)
     assert issubclass(mp.SelfCheckError, AssertionError)
+
+
+def test_load_cached_rebuilds_mutated_json(built_levels, tmp_path):
+    """A cache file changed at one place (a value replaced, removed or
+    duplicated) or cut short is loaded as a level-3 F that passes the root
+    identity, or rejected for a rebuild; no exception escapes."""
+    import copy
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    import genlambda.minpoly as mp
+
+    F = built_levels[3]
+    base = json.loads(F.to_json())
+    path = tmp_path / "F.json"
+    values = st.one_of(
+        st.integers(-3, 12),
+        st.sampled_from([10**30, "9" * 5000, "1/2", 1e300, float("inf"), float("nan")]),
+        st.sampled_from([[], {}, None, True]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=4),
+        st.lists(st.integers(-2, 2), max_size=3),
+    )
+
+    @st.composite
+    def mutated(draw):
+        obj = copy.deepcopy(base)
+        places = []
+
+        def walk(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for k in keys:
+                places.append((node, k))
+                if isinstance(node[k], (dict, list)):
+                    walk(node[k])
+
+        walk(obj)
+        node, k = draw(st.sampled_from(places))
+        action = draw(st.sampled_from(["replace", "remove", "duplicate"]))
+        if action == "replace":
+            node[k] = draw(values)
+        elif action == "remove":
+            del node[k]
+        elif isinstance(node, list):
+            node.insert(k, copy.deepcopy(node[k]))
+        else:
+            node[k] = [node[k], node[k]]
+        text = json.dumps(obj)
+        if draw(st.booleans()):
+            text = text[: draw(st.integers(0, len(text)))]
+        return text
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated())
+    def inner(text):
+        path.write_text(text)
+        G = mp._load_cached(str(path), 3, F.prec)
+        if G is not None:
+            assert (G.level, G.d, len(G.P)) == (3, F.d, F.d + 1)
+            assert all(c.level == 3 for p in G.P for c in p)
+            assert check_root_identity(G)
+
+    inner()

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,22 @@ def test_xpoly_mul_limit_is_truncated_product(level):
     inner()
 
 
+def _as_rows(P):
+    """CycNum windows in the integer form (den, windows of coordinate rows),
+    over the least common denominator."""
+    den = math.lcm(1, *(fr.denominator for _, _, cs in P for c in cs for fr in c.coords))
+    return den, [(o, p, [[int(fr * den) for fr in c.coords] for c in cs]) for o, p, cs in P]
+
+
+def _as_cyc(level, poly):
+    """The CycNum windows of an X-polynomial in the integer form."""
+    den, windows = poly
+    return [
+        (o, p, tuple(CycNum(level, [Fraction(x, den) for x in row]) for row in rows))
+        for o, p, rows in windows
+    ]
+
+
 @pytest.mark.parametrize("level", [3, 4, 5, 7])
 def test_product_tree_limit_is_truncated_product(level):
     """Demand-bounded tree against the same tree without limits, on monic
@@ -204,8 +221,8 @@ def test_product_tree_limit_is_truncated_product(level):
     @given(st.lists(leaf, min_size=1, max_size=5), st.integers(1, 6))
     def inner(leaves, limit):
         full = tree(leaves)
-        capped = _tree_mul_compact(level, leaves, limit)
-        assert capped == [_truncate(w, limit) for w in full]
+        capped = _tree_mul_compact(level, [_as_rows(p) for p in leaves], limit)
+        assert _as_cyc(level, capped) == [_truncate(w, limit) for w in full]
 
     inner()
 
@@ -311,3 +328,84 @@ def test_decimal_engine_blocks_large_products(monkeypatch):
     assert len(products) == 3
     assert all(max(a, b) <= 2000 + 1 for a, b in products)  # digits, and a sign
     assert (real.prec, real.Emax) == (decimal.MAX_PREC, decimal.MAX_EMAX)
+
+
+@st.composite
+def _growing_poly(draw, level, limit):
+    """An X-polynomial whose coordinates grow along q, by a factor of up to
+    10^40 per step; with `limit`, one coordinate of 10^400 may sit in a
+    q-lane at or just beyond it, which a product computes but never reads."""
+    phi = get_context(level).phi
+    growth = draw(st.sampled_from([1, 3, 10**5, 10**40]))
+    poly = []
+    for _ in range(draw(st.integers(1, 3))):
+        o = draw(st.integers(-5, 4))
+        cs = []
+        for i in range(draw(st.integers(0, 7))):
+            coords = [
+                Fraction(draw(st.integers(-9, 9)) * growth**i, draw(st.sampled_from([1, 1, 2, 7])))
+                for _ in range(phi)
+            ]
+            cs.append(coords)
+        if limit is not None and draw(st.booleans()):
+            e = limit + draw(st.integers(0, 2))
+            if o <= e < o + len(cs):
+                cs[e - o][draw(st.integers(0, phi - 1))] = Fraction(-(10**400))
+        poly.append(_strip((o, o + len(cs), tuple(CycNum(level, c) for c in cs))))
+    return poly
+
+
+@pytest.mark.parametrize("engine", ["pairs", "whole", "blocked"])
+@pytest.mark.parametrize("level", [3, 4, 5, 7, 12])
+def test_mul_rows_matches_schoolbook(level, engine, monkeypatch):
+    """The integer-form product against the definition, with coordinates
+    that grow along q and a large coordinate in a computed lane that no
+    window reads; the result is over its least common denominator."""
+    import genlambda.qseries as qs
+
+    monkeypatch.setattr(qs, "_PAIRS_PER_LANE", float("inf") if engine == "pairs" else 0)
+    caps = st.sampled_from([1 << 60] if engine != "blocked" else [1, 200, 3000, 20000])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.one_of(st.none(), st.integers(-6, 10)), caps)
+    def inner(data, limit, cap):
+        monkeypatch.setattr(qs, "_DIGIT_CAP", cap)
+        p = data.draw(_growing_poly(level, limit))
+        q = data.draw(_growing_poly(level, None))
+        den, windows = qs._mul_rows(level, _as_rows(p), _as_rows(q), limit=limit)
+        assert _as_cyc(level, (den, windows)) == _schoolbook(level, p, q, limit)
+        assert math.gcd(den, *(x for _, _, rows in windows for row in rows for x in row)) == 1
+
+    inner()
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 7, 12])
+def test_rows_inverse_is_inverse(level):
+    """f * f^-1 = 1 on the window of the inverse, for series with negative
+    ords and leading coefficients that are not integral."""
+    from genlambda.qseries import _invert_rows
+
+    phi = get_context(level).phi
+    coord = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    coeff = st.tuples(*[coord] * phi).map(lambda t: CycNum(level, t))
+    lead = st.tuples(*[coord] * phi).filter(any).map(lambda t: CycNum(level, t))
+    lead = st.one_of(lead.filter(lambda c: not c.is_integral()), lead)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lead, st.lists(coeff, max_size=9), st.integers(-4, 3))
+    def inner(c0, rest, o):
+        f = QSeries(level, o, (c0, *rest), o + 1 + len(rest))
+        den, ((_, _, rows),) = _as_rows([(0, 0, f.coeffs)])
+        width = f.prec - f.ord
+        d_inv, inv = _invert_rows(level, den, rows, width)
+        assert len(inv) == width
+        ((_, _, coeffs),) = _as_cyc(level, (d_inv, [(0, 0, inv)]))
+        g = QSeries(level, -o, coeffs, f.prec - 2 * o)
+        assert g == f.inverse()
+        ((po, pp, prod),) = _schoolbook(
+            level, [(f.ord, f.prec, f.coeffs)], [(g.ord, g.prec, g.coeffs)]
+        )
+        assert (po, pp) == (0, width)
+        assert prod == (CycNum.one(level),) + (CycNum.zero(level),) * (width - 1)
+
+    inner()
