@@ -4,12 +4,14 @@ classical lambda function used as a level-4 helper.
 
 All series live in the common variable q = exp(2*pi*i*tau/N); series that
 are really functions of q^N (j, the eta quotients) carry zero coefficients
-off the N-grid so products need no variable changes.
+off the N-grid so products need no variable changes. Their integer
+factors (E4, eta powers, the products of the classical lambda) are
+multiplied, powered and inverted as level-1 QSeries in x = q^N or q^(N/2),
+on the product engine of `qseries`, and then spread onto the q-grid.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycNum
@@ -150,42 +152,24 @@ def _euler_product(terms: int) -> list[int]:
     return out
 
 
-def _int_series_mul(a: list[int], b: list[int], terms: int) -> list[int]:
-    out = [0] * terms
-    for i, x in enumerate(a):
-        if x and i < terms:
-            jmax = min(len(b), terms - i)
-            for j in range(jmax):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
-    return out
+def _eta_power(step: int, terms: int, e: int) -> QSeries:
+    """prod_{n>=1} (1 - x^(step n))^e to x^(terms-1), as a level-1 series."""
+    coeffs = [0] * terms
+    coeffs[::step] = _euler_product((terms - 1) // step + 1)
+    return QSeries(1, 0, coeffs, terms) ** e
 
 
-def _int_series_pow(a: list[int], e: int, terms: int) -> list[int]:
-    result = [0] * terms
-    result[0] = 1
-    base = list(a[:terms]) + [0] * max(0, terms - len(a))
-    while e:
-        if e & 1:
-            result = _int_series_mul(result, base, terms)
-        e >>= 1
-        if e:
-            base = _int_series_mul(base, base, terms)
-    return result
-
-
-def _int_series_inv(a: list[int], terms: int) -> list[Fraction]:
-    # inverse of a series with a[0] = +-1; stays integral but keep Fractions
-    inv = [Fraction(0)] * terms
-    inv[0] = Fraction(1, a[0])
-    for k in range(1, terms):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                s += a[j] * inv[k - j]
-        inv[k] = -s / a[0]
-    return inv
+def _spread(n: int, s: QSeries, step: int, shift: int, prec: int) -> QSeries:
+    """The level-n series sum c_m q^(step m + shift) to exponents < prec, from
+    a level-1 series sum c_m x^m with integer coefficients c_m."""
+    coeffs = {}
+    for m, c in s.items():
+        k = step * m + shift
+        if k < prec:
+            (v,) = c.coords
+            assert v.denominator == 1
+            coeffs[k] = CycNum.from_rational(n, v)
+    return QSeries.from_coeff_map(n, coeffs, shift, prec)
 
 
 def _sigma_k(m: int, k: int) -> int:
@@ -198,24 +182,9 @@ def j_series(n: int, prec: int) -> QSeries:
     the N-grid, order -N, integer coefficients (744 constant term)."""
     if prec <= -n:
         raise ValueError("window must reach beyond the pole order -N")
-    terms = (prec - 1 + n) // n + 1  # q1-coefficients needed, q1 = q^N
-    if terms < 1:
-        terms = 1
-    e4 = [Fraction(1)] + [Fraction(240 * _sigma_k(m, 3)) for m in range(1, terms)]
-    e4_3 = _int_series_pow([int(c) for c in e4], 3, terms)
-    eta24 = _int_series_pow(_euler_product(terms), 24, terms)
-    inv_eta24 = _int_series_inv(eta24, terms)
-    coeffs = {}
-    for m in range(terms):
-        c = Fraction(0)
-        for i in range(m + 1):
-            if i < len(e4_3) and (m - i) < terms:
-                c += e4_3[i] * inv_eta24[m - i]
-        k = (m - 1) * n
-        if k < prec:
-            assert c.denominator == 1
-            coeffs[k] = CycNum.from_rational(n, c)
-    return QSeries.from_coeff_map(n, coeffs, -n, prec)
+    terms = (prec - 1) // n + 2  # x-coefficients needed, x = q^N
+    e4 = QSeries(1, 0, [1] + [240 * _sigma_k(m, 3) for m in range(1, terms)], terms)
+    return _spread(n, e4**3 * _eta_power(1, terms, 24).inverse(), n, -n, prec)
 
 
 @lru_cache(maxsize=None)
@@ -225,27 +194,9 @@ def g_pow_series(n: int, prec: int) -> QSeries:
     if n not in (3, 4):
         raise ValueError("eta-quotient power is only a generator for N = 3, 4")
     e = 24 // (n - 1)
-    width = prec + n  # exponents of the unit part needed: < prec + N
-    terms_num = (width - 1) // n + 1
-    terms_den = (width - 1) // (n * n) + 1
-    num = _int_series_pow(_euler_product(terms_num), e, terms_num)
-    den = _int_series_pow(_euler_product(terms_den), e, terms_den)
-    inv_den = _int_series_inv(den, terms_den)
-    coeffs: dict[int, CycNum] = {}
-    for i, x in enumerate(num):
-        if x == 0:
-            continue
-        for j, y in enumerate(inv_den):
-            if y == 0:
-                continue
-            k = i * n + j * n * n - n
-            if k < prec:
-                cur = coeffs.get(k)
-                add = Fraction(x) * y
-                coeffs[k] = (
-                    CycNum.from_rational(n, add) if cur is None else cur + add
-                )
-    return QSeries.from_coeff_map(n, coeffs, -n, prec)
+    terms = (prec - 1) // n + 2  # x-coefficients needed, x = q^N
+    ratio = _eta_power(1, terms, e) * _eta_power(n, terms, e).inverse()
+    return _spread(n, ratio, n, -n, prec)
 
 
 @lru_cache(maxsize=None)
@@ -258,43 +209,18 @@ def lambda_classical_series(prec: int, n: int = 4) -> QSeries:
     if n % 2 != 0:
         raise ValueError("classical lambda needs an even-level context")
     h = n // 2
-    terms = (prec - 1) // h + 1  # q_h-coefficients
-    if terms < 2:
-        terms = 2
-    # numerator prod (1 + t^(2m)), denominator prod (1 + t^(2m-1)) in t = q_h
-    num = [0] * terms
-    num[0] = 1
-    for m in range(1, terms // 2 + 1):
-        factor = [0] * terms
-        factor[0] = 1
-        if 2 * m < terms:
-            factor[2 * m] = 1
-        num = _int_series_mul(num, factor, terms)
-    den = [0] * terms
-    den[0] = 1
-    m = 1
-    while 2 * m - 1 < terms:
-        factor = [0] * terms
-        factor[0] = 1
-        factor[2 * m - 1] = 1
-        den = _int_series_mul(den, factor, terms)
-        m += 1
-    inv_den = _int_series_inv(den, terms)
-    ratio = [Fraction(0)] * terms
-    for i, x in enumerate(num):
-        if x:
-            for j in range(terms - i):
-                if inv_den[j]:
-                    ratio[i + j] += x * inv_den[j]
+    terms = max((prec - 1) // h + 1, 2)  # t-coefficients, t = q_h
+    # numerator prod (1 + t^(2m)), denominator prod (1 + t^(2m-1)), in place
+    num, den = [1] + [0] * (terms - 1), [1] + [0] * (terms - 1)
+    for k in range(1, terms):
+        f = den if k % 2 else num
+        for i in range(terms - 1, k - 1, -1):
+            f[i] += f[i - k]
+    ratio = QSeries(1, 0, num, terms) * QSeries(1, 0, den, terms).inverse()
     # the ratio of the two products is integral; power it as integers
-    assert all(c.denominator == 1 for c in ratio)
-    ratio8_int = _int_series_pow([c.numerator for c in ratio], 8, terms)
-    coeffs: dict[int, CycNum] = {}
-    for t_exp, c in enumerate(ratio8_int):
-        k = (t_exp + 1) * h  # the leading 16 q_h shifts everything by one t
-        if c and k < prec:
-            coeffs[k] = CycNum.from_rational(n, 16 * c)
-    return QSeries.from_coeff_map(n, coeffs, h, prec)
+    assert all(c.is_integral() for c in ratio.coeffs)
+    # the leading 16 q_h shifts everything by one t
+    return _spread(n, ratio**8 * 16, h, h, prec)
 
 
 def lambda_level2_series(prec: int, n: int = 4) -> QSeries:

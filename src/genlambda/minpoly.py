@@ -439,7 +439,7 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     phi = ctx.phi
     zero = [0] * phi
     jp = _j_powers_compact(n, prec, ell)
-    _, p_rows, _, _ = _int_rows(F.P)
+    _, p_rows = _int_rows(F.P)
     p_series = []
     for poly in p_rows:
         acc = None
@@ -617,7 +617,7 @@ def verify_theorem1(F: BivarPoly) -> Theorem1Report:
     ctx = get_context(n)
     phi = ctx.phi
     slots = 2 * phi - 1
-    ints = [(den, rows) for den, (rows,), _, _ in (_int_rows([p]) for p in F.P)]
+    ints = [(den, rows) for den, (rows,) in (_int_rows([p]) for p in F.P)]
 
     def row_mul(a, b):
         prod = [0] * slots

@@ -4,9 +4,9 @@ Polynomials are tuples of CycNum, constant term first, trailing zeros
 stripped. CycNum appears only at the entry and exit of the two hot
 kernels, which run on Python ints over one common denominator:
 
-- `pmul` (and with it `ppow` and `monic_from_roots`) is one Kronecker
-  substitution: X and zeta are packed into a single integer, multiplied
-  once, unpacked and reduced mod Phi_N;
+- `pmul` (and with it `ppow` and `monic_from_roots`) multiplies on the
+  product engine of `qseries`, the one engine for series and polynomial
+  products, with each polynomial as a single window of the integer form;
 - `nth_root_monic` takes the root by J. C. P. Miller's one-pass power
   recurrence and verifies it by exact multiplication.
 
@@ -61,42 +61,17 @@ def pscale(p, c) -> tuple:
 
 
 def pmul(p, q) -> tuple:
-    """p*q by Kronecker substitution.
-
-    Each polynomial is put over its own common denominator and packed into
-    one int: X-power i and zeta-power z go to digit i*(2 phi - 1) + z, so
-    the zeta-products of one X-power never reach the next. One integer
-    multiplication forms every product; the balanced digits are unpacked and
-    reduced mod Phi_N.
-    """
+    """p*q by the product engine of qseries: each polynomial is one window
+    [0, len(p) + len(q) - 1) of the integer form."""
     if not p or not q:
         return ()
-    from .qseries import _digit_width, _int_rows, _pack_rows, _unpack_digits
+    from .qseries import _from_rows, _mul_rows, _to_rows
 
     level = p[0].level
-    ctx = get_context(level)
-    phi = ctx.phi
-    slots = 2 * phi - 1
-    pad = [0] * (phi - 1)
-    dp, (rp,), mp, _ = _int_rows([p])
-    dq, (rq,), mq, _ = _int_rows([q])
-    width = _digit_width(mp, mq, min(len(p), len(q)) * phi)
-    xp, xq = _pack_rows(
-        [[v for row in rp for v in row + pad], [v for row in rq for v in row + pad]],
-        width,
-    )
-    out_len = len(p) + len(q) - 1
-    digits = _unpack_digits(xp * xq, width, out_len * slots)
-    den = dp * dq
-    return trim(
-        tuple(
-            CycNum._make(
-                level,
-                tuple(Fraction(v, den) for v in ctx.reduce(digits[k * slots : (k + 1) * slots])),
-            )
-            for k in range(out_len)
-        )
-    )
+    top = len(p) + len(q) - 1
+    den, ((o, _, rows),) = _mul_rows(level, _to_rows([(0, top, p)]), _to_rows([(0, top, q)]))
+    ((_, _, coeffs),) = _from_rows(level, den, [(o, top, rows)])
+    return trim((CycNum.zero(level),) * o + coeffs)
 
 
 def ppow(p, e: int) -> tuple:
@@ -130,7 +105,7 @@ def peval(p, x: CycNum) -> CycNum:
 
     ctx = get_context(level)
     slots = 2 * ctx.phi - 1
-    den, (rows, (xr,)), _, _ = _int_rows([p, (x,)])
+    den, (rows, (xr,)) = _int_rows([p, (x,)])
     acc = rows[-1]
     lift = 1
     for row in reversed(rows[:-1]):
@@ -157,10 +132,8 @@ def monic_from_roots(level: int, roots, multiplicity: int = 1) -> tuple:
     """prod (X - r)^multiplicity over the given K_N roots."""
     out = (CycNum.one(level),)
     for r in roots:
-        lin = (-r, CycNum.one(level))
-        for _ in range(multiplicity):
-            out = pmul(out, lin)
-    return out
+        out = pmul(out, (-r, CycNum.one(level)))
+    return ppow(out, multiplicity)
 
 
 # -- exact n-th roots of monic polynomials -----------------------------------
@@ -187,7 +160,7 @@ def nth_root_monic(f, n_root: int, level: int):
     phi = ctx.phi
     slots = 2 * phi - 1
     m = d // n_root
-    den, (rows,), _, _ = _int_rows([f[d - m :]])
+    den, (rows,) = _int_rows([f[d - m :]])
     rev = rows[::-1]  # rev[j] = den * f_(d-j)
     r = n_root
     common = 1  # h_k = h[k] / common
@@ -267,7 +240,7 @@ def squarefree_certificate(f, level: int, attempts: int = 5) -> bool:
     if deg(f) <= 0:
         return True
     # clear denominators once so every reduction is well defined
-    _, (rows,), _, _ = _int_rows([f])
+    _, (rows,) = _int_rows([f])
     p = max(deg(f) + 1, level)
     for _ in range(attempts):
         p, w = _split_prime_with_root(level, p)

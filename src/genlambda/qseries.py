@@ -5,14 +5,15 @@ coefficient, and an exclusive precision bound `prec`: every coefficient of
 q^k with ord <= k < prec is stored exactly. Precision is propagated through
 arithmetic and never silently extended.
 
-Products run on one integer form: an X-polynomial with series
-coefficients is (den, windows), one least common denominator and, per
-X-power, a window (ord, prec, rows) with a row of phi(N) power-basis
-coordinates times den per coefficient. After each product _mul_rows
-divides den and every int by their gcd (the gcd step), which gives the
-ints of Fraction arithmetic over one common denominator. CycNum
-coefficients are built only at the API boundary. Rows are shared between
-windows and never changed in place.
+Products run on one integer form, and _mul_rows is the one product
+engine: series products, polyk.pmul and the integer series of forms all
+reach it. An X-polynomial with series coefficients is (den, windows), one
+least common denominator and, per X-power, a window (ord, prec, rows)
+with a row of phi(N) power-basis coordinates times den per coefficient.
+After each product _mul_rows divides den and every int by their gcd (the
+gcd step), which gives the ints of Fraction arithmetic over one common
+denominator. CycNum coefficients are built only at the API boundary. Rows
+are shared between windows and never changed in place.
 
 A product of two rows has 2 phi - 1 zeta-slots, reduced mod Phi_N
 afterwards. The pair loop packs each row into one int (slots in base 2^B)
@@ -249,7 +250,7 @@ class QSeries:
             raise WindowError("cannot invert a series that vanishes on its window")
         n = self.level
         o = self.ord
-        den, (rows,), _, _ = _int_rows([self.coeffs])
+        den, (rows,) = _int_rows([self.coeffs])
         d_inv, inv = _invert_rows(n, den, rows, self.prec - o)
         ((_, _, coeffs),) = _from_rows(n, d_inv, [(0, 0, inv)])
         return QSeries(n, -o, coeffs, self.prec - 2 * o)
@@ -355,11 +356,10 @@ class QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _digit_width(max_a: int, max_b: int, terms: int) -> int:
-    """Bits per packed digit, a multiple of 8, for sums of `terms` products of
-    coordinates bounded by max_a and max_b: no digit can overflow."""
-    width = max_a.bit_length() + max_b.bit_length() + terms.bit_length() + 2
-    return max(8, (width + 7) & ~7)
+def _digit_width(bound: int) -> int:
+    """Bits per packed digit, a multiple of 8, for digits below `bound` in
+    absolute value: no digit can overflow."""
+    return max(8, (bound.bit_length() + 11) & ~7)
 
 
 def _pack_rows(rows, width: int):
@@ -405,8 +405,7 @@ def _unpack_digits(x: int, width: int, count: int):
 
 def _int_rows(polys):
     """One common denominator for a list of CycNum sequences, and their
-    integer coordinate rows. Returns (den, rows per sequence, largest
-    |coordinate| (at least 1), longest sequence length (at least 1))."""
+    integer coordinate rows: (den, rows per sequence)."""
     den = 1
     for cs in polys:
         for c in cs:
@@ -414,25 +413,8 @@ def _int_rows(polys):
                 d = fr.denominator
                 if d != 1:
                     den = den * d // math.gcd(den, d)
-    packed = []
-    maxabs = 1
-    maxlen = 1
-    for cs in polys:
-        rows = []
-        for c in cs:
-            row = []
-            for fr in c.coords:
-                v = fr.numerator * (den // fr.denominator)
-                row.append(v)
-                if v < 0:
-                    v = -v
-                if v > maxabs:
-                    maxabs = v
-            rows.append(row)
-        if len(rows) > maxlen:
-            maxlen = len(rows)
-        packed.append(rows)
-    return den, packed, maxabs, maxlen
+    return den, [[[fr.numerator * (den // fr.denominator) for fr in c.coords] for c in cs]
+                 for cs in polys]
 
 
 def _mac_rows(acc, xs, ys, base: int, limit: int):
@@ -507,7 +489,7 @@ def _common_den(polys):
 
 def _to_rows(P):
     """The integer form (den, windows) of an X-polynomial of CycNum windows."""
-    den, rows, _, _ = _int_rows([cs for (_, _, cs) in P])
+    den, rows = _int_rows([cs for (_, _, cs) in P])
     return den, [(o, p, r) for (o, p, _), r in zip(P, rows)]
 
 
@@ -603,7 +585,7 @@ def _lane_peaks(F, lo: int, hi: int):
 def _pair_mac(P, Q, ords, precs, bound: int, ctx):
     """_mac by the integer pair loop; every product slot is below `bound` in
     absolute value."""
-    width = _digit_width(bound, 1, 1)
+    width = _digit_width(bound)
     packed_p = [_pack_rows(rows, width) for _, rows in P]
     packed_q = [_pack_rows(rows, width) for _, rows in Q]
     accs = [[0] * max(precs[k] - ords[k], 0) for k in range(len(ords))]

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -161,3 +164,25 @@ def test_lambda_level2_convention():
     lhs = j * lam2 * lam2 * (lam2 - one) * (lam2 - one)
     rhs = ((lam2 * lam2 - lam2 + one) ** 3) * 256
     assert lhs.agrees(rhs)
+
+
+FORMS = {
+    "j_series": j_series,
+    "g_pow_series": g_pow_series,
+    "lambda_classical_series": lambda_classical_series,
+    "lambda_level2_series": lambda_level2_series,
+}
+
+
+def test_generators_match_frozen_sha256():
+    """The sha256 of each generator's JSON, frozen from the schoolbook and
+    Fraction-recurrence integer series that the product engine replaced:
+    j_series for N = 3..9, g_pow_series for N = 3, 4 and both lambda
+    series, each at three precisions."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "forms_sha256.json")
+    with open(path, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert len(frozen) == 33
+    for entry in frozen:
+        series = FORMS[entry["call"]](*entry["args"])
+        assert hashlib.sha256(series.to_json().encode()).hexdigest() == entry["sha256"], entry

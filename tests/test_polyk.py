@@ -54,9 +54,12 @@ def test_monic_from_roots_and_conj():
 
 # -- differential tests of the integer kernels against schoolbook CycNum ----
 
-from hypothesis import given
+import contextlib
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genlambda.qseries as qs
 from genlambda.cyclotomic import get_context
 
 KERNEL_LEVELS = (3, 4, 5, 6, 7, 8, 9, 12)
@@ -96,14 +99,31 @@ def polys(draw, level, max_len=7):
     return pk.trim(tuple(CycNum(level, c) for c in coeffs))
 
 
+@contextlib.contextmanager
+def engine(data):
+    """Force one of the product engines of qseries: the pair loop, the whole
+    decimal product, or the decimal product cut into blocks."""
+    saved = qs._PAIRS_PER_LANE, qs._DIGIT_CAP
+    name = data.draw(st.sampled_from(["pairs", "whole", "blocked"]))
+    qs._PAIRS_PER_LANE = float("inf") if name == "pairs" else 0
+    if name == "blocked":
+        qs._DIGIT_CAP = data.draw(st.sampled_from([1, 200, 3000, 20000]))
+    try:
+        yield
+    finally:
+        qs._PAIRS_PER_LANE, qs._DIGIT_CAP = saved
+
+
+@settings(max_examples=150)
 @given(st.data())
 def test_pmul_ppow_match_schoolbook(data):
     n = data.draw(st.sampled_from(KERNEL_LEVELS))
     p, q = data.draw(polys(n)), data.draw(polys(n))
-    assert pk.pmul(p, q) == ref_mul(p, q)
-    if p:
-        e = data.draw(st.integers(0, 4))
-        assert pk.ppow(p, e) == ref_pow(p, e)
+    with engine(data):
+        assert pk.pmul(p, q) == ref_mul(p, q)
+        if p:
+            e = data.draw(st.integers(0, 4))
+            assert pk.ppow(p, e) == ref_pow(p, e)
 
 
 @given(st.data())
