@@ -6,8 +6,7 @@ by default (format "text" gives aligned listings). Exit codes: 0 success,
 verify, a j-reduction that leaves a remainder or an off-grid series, or a
 packed-digit overflow in the product kernel prints an error: line),
 2 usage or environment error (such as --prec below the minimum or an --out
-file that cannot be written). The disk cache directory for built minimal
-polynomials comes from GENLAMBDA_CACHE_DIR.
+file that cannot be written).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -31,8 +29,6 @@ from .lam import lambda_basis_series, lambda_series
 from .modgroup import SL2Mat, cusp_reps, nu_pair, nu_statistics
 from .qseries import QSeries
 
-CACHE_ENV = "GENLAMBDA_CACHE_DIR"
-
 
 @dataclass
 class Config:
@@ -42,7 +38,6 @@ class Config:
     threads: int = 1
     fmt: str = "json"
     out: str | None = None
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if self.level < 3:
@@ -139,7 +134,7 @@ def _cmd_cusps(cfg: Config, args) -> int:
 def _cmd_minpoly(cfg: Config, args) -> int:
     n = cfg.level
     _warn_level6(n)
-    F = minpoly.build_F(n, cfg.prec, threads=cfg.threads, cache_dir=cfg.cache_dir)
+    F = minpoly.build_F(n, cfg.prec, threads=cfg.threads)
     if args.action == "build":
         _emit(cfg, F.to_json_obj())
         return 0
@@ -281,7 +276,6 @@ def cfg_for(cfg: Config, n: int) -> Config:
         threads=cfg.threads,
         fmt=cfg.fmt,
         out=None,
-        cache_dir=cfg.cache_dir,
     )
 
 
@@ -361,7 +355,6 @@ def run(argv=None) -> int:
             threads=args.threads,
             fmt=args.fmt,
             out=args.out,
-            cache_dir=os.environ.get(CACHE_ENV),
         )
         if args.command == "qexp":
             return _cmd_qexp(cfg, args)

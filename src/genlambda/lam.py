@@ -83,13 +83,6 @@ def lambda_leading(m: SL2Mat) -> tuple:
     return th_num / th_den, o_num - o_den
 
 
-def lambda_orbit(m: SL2Mat, prec: int) -> list[QSeries]:
-    """[series of L∘(A T^i) for i in 0..N-1], via the twist q -> zeta^i q."""
-    n = m.level
-    base = lambda_series(m, prec)
-    return [base] + [base.twist(i) for i in range(1, n)]
-
-
 def w_series(idx1, idx2, n: int, prec: int) -> QSeries:
     """W(tau; r1, s1, r2, s2) = (E(r1,s1) - E(r2,s2)) / (E(r1,-s1) - E(r2,-s2))."""
     r1, s1 = idx1[0] % n, idx1[1] % n

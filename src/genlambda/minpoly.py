@@ -32,7 +32,6 @@ integers. CycNum is built once, for the (d+1)(ell+1) coefficients of P_i.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,8 +61,6 @@ from .qseries import (
     _rows_norm,
     _to_rows,
 )
-
-FORMAT_VERSION = 1
 
 
 class GridSupportError(ValueError):
@@ -402,11 +399,13 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     """Check that F(lambda∘A-series, j-series) vanishes on the window
     [ord, prec) of the final Horner value, for each matrix A.
 
-    The series are computed to prec = window + N*(ell + 2) (window defaults
-    to 3N), and the window rule of series arithmetic fixes where the final
-    value's window ends: before q^76 on F(7) and q^23 on F(4) for the identity
-    matrix. `window` is only the minimum: PrecisionError is raised if the
-    final window ends before q^window. Vanishing on this window is not a
+    The series for A are computed to prec = window + N*(ell + 2) +
+    d*max(0, -nu_A), with nu_A the order of lambda∘A (window defaults to
+    3N): at a pole of lambda∘A each of the d Horner steps shortens the
+    window by -nu_A. The window rule of series arithmetic fixes where the
+    final value's window ends: before q^76 on F(7) and q^23 on F(4) for the
+    identity matrix. `window` is only the minimum: PrecisionError is raised
+    if the final window ends before q^window. Vanishing on this window is not a
     proof that F(lambda, j) = 0: a term c j^m lambda^(d-i) first shows at
     q^(d-i-N m), so a change to a P_i of small i can lie beyond the window
     and pass (for F(4), +1 on the constant term of P_1 passes).
@@ -431,14 +430,13 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
     n = F.level
     ell = max(F.ell, 1)
     w = window if window is not None else 3 * n
-    margin = n * ell + 2 * n
-    prec = w + margin
-    if matrices is None:
-        matrices = [SL2Mat.identity(n)]
+    matrices = [SL2Mat.identity(n)] if matrices is None else list(matrices)
+    base = w + n * ell + 2 * n
+    precs = [base + F.d * max(0, -nu_pair(m.a, m.c, n)) for m in matrices]
     ctx = get_context(n)
     phi = ctx.phi
     zero = [0] * phi
-    jp = _j_powers_compact(n, prec, ell)
+    jp = _j_powers_compact(n, max(precs, default=base), ell)
     _, p_rows = _int_rows(F.P)
     p_series = []
     for poly in p_rows:
@@ -450,7 +448,7 @@ def check_root_identity(F: BivarPoly, matrices=None, window: int | None = None) 
             term = (o, p, [[x * cz for cz in c] for x in js])
             acc = term if acc is None else _rows_add(acc, term, phi)
         p_series.append(None if acc is None else _decompress(n, acc))
-    for mat in matrices:
+    for mat, prec in zip(matrices, precs):
         den_l, (ol, pl, lam_rows) = _lambda_rows((mat.a, mat.b), (mat.c, mat.d), n, prec)
         top = None  # the window rule alone: an upper bound on the final prec
         for ps in p_series:
@@ -488,10 +486,9 @@ def build_F(
     *,
     convention: str = "min",
     threads: int = 1,
-    cache_dir: str | None = None,
     self_check: bool = True,
 ) -> BivarPoly:
-    """Build F(X, Y) for level N, verify F(lambda, j) = 0, and cache it.
+    """Build F(X, Y) for level N, and verify F(lambda, j) = 0.
 
     Only a checked F enters the in-process memo, so a build with
     self_check=False never answers a later call that asks for the check.
@@ -504,15 +501,6 @@ def build_F(
     key = (n, target, convention)
     if key in _MEMO:
         return _MEMO[key]
-    cache_path = None
-    if cache_dir:
-        cache_path = os.path.join(
-            cache_dir, f"F_N{n}_p{target}_v{FORMAT_VERSION}.json"
-        )
-        loaded = _load_cached(cache_path, n, target)
-        if loaded is not None:
-            _MEMO[key] = loaded
-            return loaded
     (den, coeffs), meta = _product_poly_compact(n, target, convention, threads)
     d = meta["d"]
     jp = _j_powers_compact(n, meta["leaf_prec"], ell)
@@ -522,54 +510,9 @@ def build_F(
     F = BivarPoly(level=n, d=d, ell=ell, t=t, prec=target, P=tuple(polys))
     if self_check and not check_root_identity(F):
         raise SelfCheckError(f"self-check failed for level {n}: F(lambda, j) != 0")
-    if cache_path:
-        _store_cached(cache_path, F)
     if self_check:
         _MEMO[key] = F
     return F
-
-
-def _store_cached(path: str, F: BivarPoly) -> None:
-    """Write F to path through a temporary file of this writer's own in the
-    same directory, so concurrent writers never share or truncate a file."""
-    import tempfile
-
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".F_", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(F.to_json())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _load_cached(path: str, n: int, target: int) -> BivarPoly | None:
-    """The cached F for level n, or None if the file is missing, malformed,
-    has the wrong shape (N, d_N, ell_N, t_N, the number of P_i or a P_i of
-    degree above ell_N) or fails the root identity. Any other exception
-    propagates."""
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # exact numbers; NaN and Infinity raise ValueError
-            obj = json.load(fh, parse_float=Fraction, parse_constant=Fraction)
-        F = BivarPoly.from_json_obj(obj)
-        d = degree_dn(n)
-        shape = (F.level, F.d, (F.ell, F.t), len(F.P))
-        if shape != (n, d, nu_statistics(n), d + 1) or F.y_degree() > F.ell:
-            return None
-        F = BivarPoly(
-            level=F.level, d=F.d, ell=F.ell, t=F.t, prec=target, P=F.P
-        )
-        if not check_root_identity(F):
-            return None
-        return F
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
 
 
 # ---------------------------------------------------------------------------

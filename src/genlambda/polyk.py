@@ -77,11 +77,13 @@ def pmul(p, q) -> tuple:
 def ppow(p, e: int) -> tuple:
     if not p:
         return () if e else None
-    result = (CycNum.one(p[0].level),)
+    if not e:
+        return (CycNum.one(p[0].level),)
+    result = None
     base = p
     while e:
         if e & 1:
-            result = pmul(result, base)
+            result = base if result is None else pmul(result, base)
         e >>= 1
         if e:
             base = pmul(base, base)

@@ -84,14 +84,18 @@ def test_usage_errors():
     assert run(["definitely-not-a-command"]) == 2
 
 
-def test_cache_env_used(tmp_path, monkeypatch, capsys):
+def test_no_disk_cache(tmp_path, monkeypatch, capsys):
+    """Every F is built in the process: the old cache variable is ignored,
+    and build_F takes no cache directory."""
     import genlambda.minpoly as mp
 
     monkeypatch.setenv("GENLAMBDA_CACHE_DIR", str(tmp_path))
-    mp._MEMO.pop((3, 9, "min"), None)
+    monkeypatch.setattr(mp, "_MEMO", {})
     assert run(["minpoly", "build", "--level", "3"]) == 0
     capsys.readouterr()
-    assert any(p.name.startswith("F_N3") for p in tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(TypeError):
+        mp.build_F(3, cache_dir=str(tmp_path))
 
 
 def test_text_format_and_out(tmp_path, capsys):
@@ -114,7 +118,6 @@ def test_unwritable_out_is_an_environment_error(tmp_path, capsys):
 def test_self_check_failure_exits_1(capsys, monkeypatch):
     import genlambda.minpoly as mp
 
-    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
     monkeypatch.setattr(mp, "_MEMO", {})
     monkeypatch.setattr(mp, "check_root_identity", lambda *args, **kwargs: False)
     assert run(["minpoly", "build", "--level", "3"]) == 1
@@ -129,7 +132,6 @@ def test_packed_digit_overflow_exits_1(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise ArithmeticError("packed-digit overflow: width chosen too small")
 
-    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
     monkeypatch.setattr(mp, "_MEMO", {})
     monkeypatch.setattr(mp, "_mul_rows", overflow)
     assert run(["minpoly", "build", "--level", "3"]) == 1
@@ -145,7 +147,6 @@ def test_unverifiable_build_exits_1(error, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise getattr(mp, error)("nonzero remainder after j-reduction")
 
-    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
     monkeypatch.setattr(mp, "_MEMO", {})
     monkeypatch.setattr(mp, "_reduce_compact", fail)
     assert run(["minpoly", "build", "--level", "3"]) == 1
@@ -157,7 +158,6 @@ def test_unverifiable_build_exits_1(error, capsys, monkeypatch):
 def test_prec_below_minimum_exits_2(capsys, monkeypatch):
     import genlambda.minpoly as mp
 
-    monkeypatch.delenv("GENLAMBDA_CACHE_DIR", raising=False)
     monkeypatch.setattr(mp, "_MEMO", {})
     assert run(["minpoly", "build", "--level", "3", "--prec", "5"]) == 2
     captured = capsys.readouterr()

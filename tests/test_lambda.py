@@ -9,7 +9,6 @@ from genlambda.lam import (
     lambda_basis_series,
     lambda_k_series,
     lambda_leading,
-    lambda_orbit,
     lambda_series,
     w_series,
 )
@@ -111,11 +110,13 @@ def test_integrality_of_scaled_lambda(n):
 
 
 def test_orbit_matches_matrix_composition():
+    """The twist q -> zeta^i q of the series of L∘A is the series of
+    L∘(A T^i)."""
     for n in (3, 5):
         a = cusp_reps(n)[0].matrix
-        orbit = lambda_orbit(a, 9)
+        base = lambda_series(a, 9)
         for i in range(n):
-            assert orbit[i] == lambda_series(a * SL2Mat.T(n, i), 9)
+            assert base.twist(i) == lambda_series(a * SL2Mat.T(n, i), 9)
 
 
 def test_insufficient_precision_errors():

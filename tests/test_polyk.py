@@ -126,6 +126,29 @@ def test_pmul_ppow_match_schoolbook(data):
             assert pk.ppow(p, e) == ref_pow(p, e)
 
 
+def test_ppow_spends_no_product_on_one(monkeypatch):
+    """ppow starts from the base at the lowest set bit of e: no pmul call
+    has the constant 1 as its left operand, and p^e for e = 0..6 equals
+    repeated pmul."""
+    n = 5
+    one = CycNum.one(n)
+    p = (CycNum.zeta(n) / 3, CycNum.from_rational(n, -2), one)
+    real = pk.pmul
+    lefts = []
+
+    def spy(a, b):
+        lefts.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(pk, "pmul", spy)
+    want = (one,)
+    for e in range(7):
+        assert pk.ppow(p, e) == want
+        want = real(want, p)
+    assert lefts and (one,) not in lefts
+    assert pk.ppow((), 0) is None and pk.ppow((), 3) == ()
+
+
 @given(st.data())
 def test_nth_root_and_peval_match_reference(data):
     n = data.draw(st.sampled_from(KERNEL_LEVELS))

