@@ -13,8 +13,23 @@ exponent off the q^N grid. The leaf's coefficient a_k of X^(N-k) follows
 from Newton's identities, k a_k = -sum_{i=1..k} a_(k-i) p_i with a_0 = 1:
 N - 1 dense products for the powers, then short products on the grid.
 
-Window bookkeeping is exact throughout; the leaf precision adds the total
-pole mass N*ell so the final windows still reach the requested target.
+The default window is proved, not guessed: the product is built through
+q^0 on the q^N grid (target = N, target_g = 1) and no further. Each
+coefficient c_i of the product is a symmetric function of the lambda∘A
+over the transversal, so it is invariant under Gamma(1); it is holomorphic
+on H and meromorphic at the cusps, as each lambda∘A is. So c_i = P_i(j)
+for a polynomial P_i whose degree is the pole order of c_i at infinity.
+`_reduce_compact` clears the poles with j-powers (raising ReductionError on
+a pole above ell, the paper's degree bound) and reads the constant term.
+Then c_i - P_i(j) is a modular function for Gamma(1), holomorphic on H and
+at infinity, that vanishes at infinity, so it is 0: the P_i read from the
+window are exact. An explicit prec (at least N*(ell + 2)) adds
+coefficients past q^0, on which the reduction must leave a zero remainder:
+a wider re-check of the reduction, not more correctness.
+
+Window bookkeeping is exact throughout, so the coefficients through q^0
+are those of the true product; the leaf precision adds the total pole mass
+N*ell so the final windows still reach the target (PrecisionError if not).
 The product tree computes nothing beyond that target. It passes a `limit`
 in grid units down the tree, target_g at the root. A node with limit U
 whose halves L and R have smallest total ords m_L and m_R (each <= 0)
@@ -184,10 +199,27 @@ def _tree_mul_compact(level, polys, limit: int):
     return _mul_rows(level, left, right, limit=limit)
 
 
+def _target(n: int, ell: int, prec: int | None) -> int:
+    """The dense window end the product is built to: N by default, that is
+    through q^0 on the q^N grid, which the module docstring proves exact.
+    An explicit prec re-checks the j-reduction on coefficients past q^0 and
+    must be at least N*(ell + 2)."""
+    if prec is None:
+        return n
+    target, min_prec = int(prec), n * (ell + 2)
+    if target < min_prec:
+        raise ValueError(
+            f"precision {target} below the minimum {min_prec} for level {n}; "
+            "omit it to build at the proved default window"
+        )
+    return target
+
+
 def _product_poly_compact(
     n: int, prec: int | None = None, convention: str = "min", threads: int = 1
 ):
-    """Compact coefficients of prod_{A in transversal} (X - lambda∘A).
+    """Compact coefficients of prod_{A in transversal} (X - lambda∘A),
+    known below q^target with target = _target(n, ell, prec).
 
     Returns ((den, coeffs ascending in X), meta) in the integer form, where
     meta carries d, ell, t and the resolved target/leaf precisions.
@@ -196,12 +228,7 @@ def _product_poly_compact(
         raise ValueError("level must be >= 3")
     ell, t = nu_statistics(n)
     d = degree_dn(n)
-    min_prec = n * (ell + 2)
-    target = min_prec if prec is None else int(prec)
-    if target < min_prec:
-        raise ValueError(
-            f"precision {target} below the minimum heuristic {min_prec} for level {n}"
-        )
+    target = _target(n, ell, prec)
     leaf_prec = target + n * ell + 2 * n
     one_prec = leaf_prec + n * ell + n
     reps = cusp_reps(n, convention)
@@ -249,7 +276,11 @@ def product_poly(
     n: int, prec: int | None = None, convention: str = "min", threads: int = 1
 ) -> list[QSeries]:
     """The d_N + 1 coefficient series of the transversal product, densely
-    represented in q (index = power of X), each supported on the N-grid."""
+    represented in q (index = power of X), each supported on the N-grid.
+
+    By default each is known through q^0, which fixes it as a polynomial in
+    j (module docstring); an explicit prec >= N*(ell + 2) gives the
+    coefficients below q^prec."""
     (den, coeffs), _ = _product_poly_compact(n, prec, convention, threads)
     dense = _from_rows(n, den, [_decompress(n, w) for w in coeffs])
     return [QSeries(n, o, cs, p) for o, p, cs in dense]
@@ -273,7 +304,10 @@ def _j_powers_compact(n: int, dense_prec: int, max_pow: int):
 
 def _reduce_compact(n: int, c, j_powers, max_pow: int):
     """P with P(j) = c for a grid window c = (den, window) of rows: each
-    pole lead q^(-m) is cleared by subtracting the row lead times j^m."""
+    pole lead q^(-m) is cleared by subtracting the row lead times j^m.
+
+    j_powers[m] must reach as far as c: PrecisionError if the window left
+    after the poles are cleared ends before the constant term (grid 0)."""
     den, cur = c
     phi = get_context(n).phi
     coeff_out = {}
@@ -286,6 +320,10 @@ def _reduce_compact(n: int, c, j_powers, max_pow: int):
         lead = coeff_out[m] = cur[2][0]
         o, p, js = j_powers[m]
         cur = _rows_add(cur, (o, p, [[-x * z for z in lead] for x in js]), phi)
+    if cur[1] < 1:
+        raise PrecisionError(
+            f"window ends before grid {cur[1]} <= 0, so the constant term is unread"
+        )
     if cur[2] and cur[0] == 0:
         coeff_out[0] = cur[2][0]
         cur = _rows_norm(0, cur[1], [[0] * phi] + cur[2][1:])
@@ -490,20 +528,31 @@ def build_F(
 ) -> BivarPoly:
     """Build F(X, Y) for level N, and verify F(lambda, j) = 0.
 
+    By default the transversal product is built through q^0 on the q^N
+    grid and no further: each of its coefficients is a Gamma(1)-invariant
+    function, holomorphic on H, so it is a polynomial in j fixed by its
+    principal part and constant term at infinity (the proof is in the
+    module docstring). An explicit prec, at least N*(ell + 2), builds the
+    product below q^prec, and the j-reduction must then leave a zero
+    remainder on the extra coefficients: a wider re-check, not more
+    correctness. Either way the root-identity self-check runs on its own
+    window.
+
     Only a checked F enters the in-process memo, so a build with
     self_check=False never answers a later call that asks for the check.
     For N = 6 the construction still runs but none of the structure theorems
     are claimed (see verify_theorem1).
     """
     ell, t = nu_statistics(n)
-    min_prec = n * (ell + 2)
-    target = min_prec if prec is None else int(prec)
+    target = _target(n, ell, prec)
     key = (n, target, convention)
     if key in _MEMO:
         return _MEMO[key]
-    (den, coeffs), meta = _product_poly_compact(n, target, convention, threads)
+    (den, coeffs), meta = _product_poly_compact(n, prec, convention, threads)
     d = meta["d"]
-    jp = _j_powers_compact(n, meta["leaf_prec"], ell)
+    # j^m's grid window ends at p - m + 1 for j known below grid p, and the
+    # reduction reads j^m (m <= ell) below target_g
+    jp = _j_powers_compact(n, n * (meta["target_g"] + ell - 1), ell)
     polys = []
     for i in range(d + 1):
         polys.append(_reduce_compact(n, (den, coeffs[d - i]), jp, ell))

@@ -131,10 +131,15 @@ def pconj(p) -> tuple:
 
 
 def monic_from_roots(level: int, roots, multiplicity: int = 1) -> tuple:
-    """prod (X - r)^multiplicity over the given K_N roots."""
-    out = (CycNum.one(level),)
-    for r in roots:
-        out = pmul(out, (-r, CycNum.one(level)))
+    """prod (X - r)^multiplicity over the given K_N roots. The product
+    starts from the first linear factor, so no pmul multiplies by 1."""
+    one = CycNum.one(level)
+    factors = [(-r, one) for r in roots]
+    if not factors:
+        return (one,)
+    out = factors[0]
+    for f in factors[1:]:
+        out = pmul(out, f)
     return ppow(out, multiplicity)
 
 

@@ -7,9 +7,11 @@ import pytest
 from genlambda import polyk as pk
 from genlambda.cyclotomic import CycNum
 from genlambda.forms import j_series
+import genlambda.minpoly as mp
 from genlambda.minpoly import (
     BivarPoly,
     GridSupportError,
+    PrecisionError,
     ReductionError,
     build_F,
     check_root_identity,
@@ -257,6 +259,38 @@ def test_json_round_trip_and_revalidation(built_levels, tmp_path):
     assert loaded.to_json() == F.to_json()
     assert verify_theorem1(loaded).ok
     assert check_root_identity(loaded)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_default_build_is_at_the_proved_window(n):
+    """The default product is known through q^0 on the q^N grid and no
+    further (target_g = 1), the window the module docstring proves exact."""
+    _, meta = mp._product_poly_compact(n)
+    assert meta["target"] == n and meta["target_g"] == 1
+
+
+def test_proved_window_matches_doubled_old_window(built_levels):
+    """At N = 5 the default window (through q^0) and twice the old one
+    (q^60, with 11 grid terms past q^0 re-checked) give the same F."""
+    F = built_levels[5]
+    assert F.prec == 5
+    assert build_F(5, prec=2 * 5 * (F.ell + 2)).to_json() == F.to_json()
+
+
+def test_reduce_rejects_short_j_powers():
+    """A j-power too short to reach grid 0 leaves the constant term unread:
+    PrecisionError, not a P_i with its constant term dropped."""
+    n = 3
+    (den, coeffs), meta = mp._product_poly_compact(n)
+    ell = meta["ell"]
+    polar = [w for w in coeffs if w[0] < 0]
+    assert polar
+    enough = mp._j_powers_compact(n, n * ell, ell)  # j known below grid 1
+    short = mp._j_powers_compact(n, n * ell - n, ell)  # j known below grid 0
+    for w in polar:
+        assert mp._reduce_compact(n, (den, w), enough, ell)
+        with pytest.raises(PrecisionError):
+            mp._reduce_compact(n, (den, w), short, ell)
 
 
 def test_prec_below_minimum_rejected():

@@ -149,6 +149,33 @@ def test_ppow_spends_no_product_on_one(monkeypatch):
     assert pk.ppow((), 0) is None and pk.ppow((), 3) == ()
 
 
+def test_monic_from_roots_spends_no_product_on_one(monkeypatch):
+    """monic_from_roots starts from the first linear factor: no pmul call
+    has the constant 1 as its left operand, and each result equals the
+    product of the factors (X - r)^multiplicity multiplied onto 1."""
+    n = 5
+    one = CycNum.one(n)
+    z = CycNum.zeta(n)
+    roots = [z / 3, CycNum.from_rational(n, -2), z * z + one, CycNum.zero(n)]
+    real = pk.pmul
+    lefts = []
+
+    def spy(a, b):
+        lefts.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(pk, "pmul", spy)
+    for k in range(len(roots) + 1):
+        base = (one,)
+        for r in roots[:k]:
+            base = real(base, (-r, one))
+        want = (one,)
+        for mult in (1, 2, 3):
+            want = real(want, base)
+            assert pk.monic_from_roots(n, roots[:k], multiplicity=mult) == want, (k, mult)
+    assert lefts and (one,) not in lefts
+
+
 @given(st.data())
 def test_nth_root_and_peval_match_reference(data):
     n = data.draw(st.sampled_from(KERNEL_LEVELS))
